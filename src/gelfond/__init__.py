@@ -67,6 +67,7 @@ from .sums import (
     ParityCount,
     binary_exponents,
     digit_sum,
+    dyadic_sums,
     newman_sum_dp,
     newman_sum_enumerate,
     parity_counts,
@@ -112,6 +113,7 @@ __all__ = [
     "default_window",
     "digit_sum",
     "dyadic_profile",
+    "dyadic_sums",
     "envelope_check",
     "f_beta",
     "fit_exponent",

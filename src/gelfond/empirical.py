@@ -20,7 +20,7 @@ import numpy as np
 
 from .cosets import multiplicative_order
 from .exponent import LAMBDA
-from .sums import _check_query, parity_counts
+from .sums import _check_query, _class_count, dyadic_sums
 
 #: Streaming scans are capped here (memory/time desk scale).
 PROFILE_MAX_EXP = 32
@@ -161,17 +161,19 @@ def fit_exponent(profile: DyadicProfile, window: tuple[int, int] | None = None) 
 def gelfond_remainder_check(m: int, a: int, max_exp: int) -> RemainderCheck:
     """Remainder ratios |t_even - x/(2m)| / x^lambda at x = 2^nu.
 
-    The numerator is computed exactly as |2m*t_even - x| / (2m).  A ratio
+    The numerator is computed exactly as |2m*t_even - x| / (2m), with
+    t_even = (count + S(m, a, 2^nu)) / 2 from one dyadic_sums pass.  A ratio
     that keeps growing across the top blocks would contradict the remainder
     bound; that situation is flagged, not silently accepted.
     """
     _check_query(m, a, 1)
     if not 1 <= max_exp <= REMAINDER_MAX_EXP:
         raise ValueError(f"max_exp must be in [1, {REMAINDER_MAX_EXP}], got {max_exp}")
+    levels = dyadic_sums(m, a, max_exp)
     ratios = []
     for nu in range(1, max_exp + 1):
         x = 1 << nu
-        t_even, _ = parity_counts(m, a, x)
+        t_even = (_class_count(m, a, x) + levels[nu]) // 2
         ratios.append(abs(2 * m * t_even - x) / (2 * m * x**LAMBDA))
     best = max(range(len(ratios)), key=ratios.__getitem__)
     top = ratios[-5:]

@@ -31,7 +31,7 @@ from .spectral import (
     _unit_table_mp,
     characteristic_roots,
 )
-from .sums import newman_sum_dp
+from .sums import _sums_in_one_pass, dyadic_sums, newman_sum_dp
 
 #: Offsets tried for the sum-based linear system before reporting singularity.
 SYSTEM_OFFSETS = range(0, 6)
@@ -157,18 +157,20 @@ def coefficients_from_sums(m: int, a: int) -> RecurrenceSpec:
 
     Builds the r x r system of the offset identity at n = n0 .. n0+r-1 and
     solves it in exact rational arithmetic; offsets n0 = 0..5 are tried in
-    turn when the matrix is singular.
+    turn when the matrix is singular.  Every system reads the one
+    dyadic_sums pass up to the largest offset.
     """
     dec = cyclotomic_cosets(m)
     if not 0 <= a < m:
         raise ValueError(f"residue must satisfy 0 <= a < m, got a={a}, m={m}")
     r, h = dec.r, dec.h
+    seq = dyadic_sums(m, a, r * h + r + SYSTEM_OFFSETS[-1])
     for n0 in SYSTEM_OFFSETS:
         rows = [
-            [newman_sum_dp(m, a, 1 << (n + (r - q) * h + 1)) for q in range(1, r + 1)]
+            [seq[n + (r - q) * h + 1] for q in range(1, r + 1)]
             for n in range(n0, n0 + r)
         ]
-        rhs = [-newman_sum_dp(m, a, 1 << (n + r * h + 1)) for n in range(n0, n0 + r)]
+        rhs = [-seq[n + r * h + 1] for n in range(n0, n0 + r)]
         solution = _solve_fraction_system(rows, rhs)
         if solution is None:
             continue
@@ -197,34 +199,42 @@ def verify_recurrence(
     """Exact-integer check of both recurrence identities.
 
     Offsets n = 0..depth and every multiplier u are checked; any nonzero
-    defect raises RecurrenceDefectError naming the offending instance.
+    defect raises RecurrenceDefectError naming the offending instance.  All
+    the sums come from one pass of the signed digit DP.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     m, r, h = spec.m, spec.r, spec.h
     if not 0 <= a < m:
         raise ValueError(f"residue must satisfy 0 <= a < m, got a={a}, m={m}")
-    coeffs = spec.coefficients
-    checks = 0
-    for n in range(depth + 1):
-        defect = newman_sum_dp(m, a, 1 << (n + r * h + 1))
-        for q, c in enumerate(coeffs, start=1):
-            defect += c * newman_sum_dp(m, a, 1 << (n + (r - q) * h + 1))
-        checks += 1
-        if defect:
-            raise RecurrenceDefectError(
-                f"m={m}, a={a}: offset identity fails at n={n} with defect {defect}"
-            )
     for u in multipliers:
         if u < 1:
             raise ValueError(f"multipliers must be positive, got {u}")
-        defect = newman_sum_dp(m, a, (1 << (r * h + 1)) * u)
-        for q, c in enumerate(coeffs, start=1):
-            defect += c * newman_sum_dp(m, a, (1 << ((r - q) * h + 1)) * u)
+    # S at 2^(n+k) and at 2^k * u for k = (r-q)h + 1, q = 0..r: one DP pass
+    ks = [(r - q) * h + 1 for q in range(r + 1)]
+    top = depth + r * h + 1
+    xs = [1 << n for n in range(top + 1)] + [u << k for u in multipliers for k in ks]
+    values = _sums_in_one_pass(m, a, xs)
+    seq, scaled = values[: top + 1], values[top + 1 :]
+    weights = (1, *spec.coefficients)
+
+    def defect(terms):
+        return sum(c * s for c, s in zip(weights, terms))
+
+    checks = 0
+    for n in range(depth + 1):
+        value = defect([seq[n + k] for k in ks])
         checks += 1
-        if defect:
+        if value:
             raise RecurrenceDefectError(
-                f"m={m}, a={a}: multiplier identity fails at u={u} with defect {defect}"
+                f"m={m}, a={a}: offset identity fails at n={n} with defect {value}"
+            )
+    for j, u in enumerate(multipliers):
+        value = defect(scaled[j * (r + 1) : (j + 1) * (r + 1)])
+        checks += 1
+        if value:
+            raise RecurrenceDefectError(
+                f"m={m}, a={a}: multiplier identity fails at u={u} with defect {value}"
             )
     return VerificationReport(
         m=m,

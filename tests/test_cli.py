@@ -23,7 +23,8 @@ def test_envelope_shape(capsys):
     assert env["schema_version"] == "1"
     assert env["command"] == "classify"
     assert env["inputs"] == {"p": 7}
-    assert isinstance(env["timing_ms"], int)
+    assert isinstance(env["timing_ms"], float)
+    assert env["timing_ms"] >= 0
     assert env["result"]["class"] == "semiprimitive"
     assert env["result"]["ord2"] == 3
     assert env["result"]["minus_one_solvable"] is False
@@ -84,6 +85,27 @@ def test_sum_all_skips_enumerate_past_cap(capsys):
     env = run_json(capsys, "sum", "3", "0", str(1 << 27), "--method", "all")
     assert env["result"]["skipped"] == ["enumerate"]
     assert env["result"]["value"] == newman_sum_dp(3, 0, 1 << 27)
+
+
+def test_dp_work_guard_refuses_before_any_dp(capsys, monkeypatch):
+    x = 3**5000
+    assert 10007 * x.bit_length() > cli.MAX_DP_WORK
+    # the bound is on m * bit_length(x): the same x passes with a small m
+    env = run_json(capsys, "sum", "3", "2", str(x), "--method", "dp")
+    assert int(env["result"]["value"]) == newman_sum_dp(3, 2, x)
+
+    def no_dp(*args):
+        raise AssertionError("the DP must not start")
+
+    monkeypatch.setattr(cli, "newman_sum_dp", no_dp)
+    monkeypatch.setattr(cli, "parity_counts", no_dp)
+    for argv in (("sum", "10007", "5", str(x), "--method", "dp"),
+                 ("sum", "10007", "5", str(x), "--method", "all"),
+                 ("counts", "10007", "5", str(x))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "digit-DP limit" in err
 
 
 def test_big_integers_serialize_as_strings(capsys):

@@ -51,6 +51,19 @@ def test_verify_rejects_wrong_coefficients():
         verify_recurrence(wrong, 0, depth=2, multipliers=(1,))
 
 
+def test_verify_checks_the_multiplier_identity_on_its_own():
+    # fitted to the offset identity at n = 0, 1 only: it passes there and
+    # must be caught by the multiplier identity at u = 3
+    fake = RecurrenceSpec(m=5, r=2, h=3, coefficients=(-10, 30), residuals=(0.0, 0.0))
+    assert verify_recurrence(fake, 0, depth=1, multipliers=(1,)).checks == 3
+    defect = sum(
+        c * newman_sum_enumerate(5, 0, 3 << k) for c, k in ((1, 7), (-10, 4), (30, 1))
+    )
+    assert defect != 0
+    with pytest.raises(RecurrenceDefectError, match=f"u=3 with defect {defect}$"):
+        verify_recurrence(fake, 0, depth=1, multipliers=(1, 3))
+
+
 def test_verify_m17_paper_instances():
     # S(2^(n+17)) = 34 S(2^(n+9)) - 17 S(2^(n+1)) for n = 0..12,
     # and the same with dyadic bounds scaled by x in {1,3,5,7}
@@ -93,6 +106,12 @@ def test_cross_method_equality_small_sweep():
 def test_singular_system_reported_for_m15():
     with pytest.raises(SingularSystemError):
         coefficients_from_sums(15, 0)
+
+
+@pytest.mark.parametrize("m,a", [(27, 26), (127, 1)])
+def test_singular_system_reported_for_missed_root(m, a):
+    with pytest.raises(SingularSystemError):
+        coefficients_from_sums(m, a)
 
 
 def test_verification_small_sweep():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from gelfond import (
     ParityCount,
     binary_exponents,
     digit_sum,
+    dyadic_sums,
     newman_sum_dp,
     newman_sum_enumerate,
     parity_counts,
@@ -113,6 +115,40 @@ def test_dp_equals_enumerate_random():
                 assert newman_sum_dp(m, a, x) == newman_sum_enumerate(m, a, x), (m, a, x)
 
 
+def test_streaming_dp_equals_enumerate_random_moduli():
+    # even and odd moduli, the trivial modulus m = 1 and the empty range x = 0
+    rng = random.Random(7)
+    queries = [(1, 0, 0), (1, 0, 1), (1, 0, 12345), (5, 3, 0), (64, 63, 0)]
+    for _ in range(300):
+        m = rng.randrange(1, 80)
+        queries.append((m, rng.randrange(m), rng.randrange(1 << rng.randrange(1, 17))))
+    for m, a, x in queries:
+        assert newman_sum_dp(m, a, x) == brute_sum(m, a, x), (m, a, x)
+
+
+def test_dyadic_sums_are_the_dp_at_powers_of_two():
+    for m, a, n_max in ((1, 0, 12), (3, 2, 40), (17, 5, 40), (30, 29, 40), (127, 1, 30)):
+        assert dyadic_sums(m, a, n_max) == [newman_sum_dp(m, a, 1 << n) for n in range(n_max + 1)]
+    assert dyadic_sums(7, 3, 0) == [0]
+    assert dyadic_sums(7, 0, 0) == [1]
+    with pytest.raises(ValueError):
+        dyadic_sums(7, 3, -1)
+    with pytest.raises(ValueError):
+        dyadic_sums(7, 7, 4)
+
+
+def test_dp_memory_is_linear_in_m():
+    # O(m) live integers: about 0.1 MiB here, where keeping every level took 18 MiB
+    x = random.Random(8).getrandbits(200) | 1 << 199
+    tracemalloc.start()
+    try:
+        newman_sum_dp(1001, 5, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_dp_handles_huge_bounds():
     # far beyond the enumeration cap; sanity: |S| bounded by the class count
     x = (1 << 90) + 12345
@@ -135,6 +171,12 @@ def test_parity_counts_identities():
         t_even, t_odd = parity_counts(m, a, x)
         assert t_even - t_odd == newman_sum_enumerate(m, a, x)
         assert t_even + t_odd == len(range(a, x, m))
+    # the class count stays exact past the machine word
+    x = (1 << 300) + 7
+    for m, a in ((7, 3), (10, 9), (1, 0)):
+        t_even, t_odd = parity_counts(m, a, x)
+        assert t_even + t_odd == (x - a + m - 1) // m
+        assert t_even - t_odd == newman_sum_dp(m, a, x)
 
 
 def test_reduce_even_mappings():
