@@ -3,7 +3,8 @@ machine-readable JSON envelope (CSV for tabular payloads).
 
 Exit codes: 0 success, 2 input validation, 3 internal cross-check failure.
 Integers with magnitude >= 2^53 are serialized as decimal strings so JSON
-consumers round-trip them losslessly.
+consumers round-trip them losslessly; exact fractions past the float range
+are serialized as "p/q" strings.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import sys
 import time
+from fractions import Fraction
 
 from . import empirical as emp
 from . import exponent as expo
@@ -29,10 +31,13 @@ from .sums import ENUMERATION_CAP, newman_sum_dp, newman_sum_enumerate, parity_c
 SCHEMA_VERSION = "1"
 BIG_INT = 1 << 53
 
-#: Largest m * bit_length(x) that `sum` (dp, all) and `counts` accept.  The
-#: DP costs m * bit_length(x) additions of integers of at most bit_length(x)
-#: bits, with O(m) of them live.  At this bound a query took at most 1.7 s
-#: and 225 MiB (m = 2^23, 2-bit x) on a 2-CPU Xeon with Python 3.11.
+#: Largest m * (DP levels) that `sum` (dp, all), `counts` and `empirical`
+#: accept.  The digit DP costs m * bit_length(x) additions of integers of at
+#: most bit_length(x) bits, with O(m) of them live.  At this bound a query
+#: took at most 1.7 s and 225 MiB (m = 2^23, 2-bit x) on a 2-CPU Xeon with
+#: Python 3.11.  `empirical` runs max_exp levels of the max-plus profile DP,
+#: which is slower per cell: m = 65521, max_exp = 256 took about 42 s and
+#: 62 MiB on the same machine.
 MAX_DP_WORK = 1 << 24
 
 #: Moduli of the published closing table of exponents.
@@ -52,6 +57,11 @@ def _jsonify(obj, precision: int):
         if math.isfinite(obj):
             return round(obj, precision)
         return repr(obj)
+    if isinstance(obj, Fraction):
+        try:
+            return round(float(obj), precision)
+        except OverflowError:
+            return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v, precision) for v in obj]
     if isinstance(obj, dict):
@@ -111,18 +121,16 @@ def _cmd_alpha(args):
     return _alpha_report_payload(report, args)
 
 
-def _check_dp_work(m: int, x: int) -> None:
-    work = m * x.bit_length()
+def _check_dp_work(m: int, levels: int, what: str) -> None:
+    work = m * levels
     if work > MAX_DP_WORK:
-        raise ValueError(
-            f"m * bit_length(x) = {work} exceeds the digit-DP limit {MAX_DP_WORK}"
-        )
+        raise ValueError(f"m * {what} = {work} exceeds the digit-DP limit {MAX_DP_WORK}")
 
 
 def _cmd_sum(args):
     m, a, x = args.m, args.a, args.x
     if args.method in ("dp", "all"):
-        _check_dp_work(m, x)
+        _check_dp_work(m, x.bit_length(), "bit_length(x)")
     methods = {}
     skipped = []
     wanted = ["enumerate", "dp", "explicit"] if args.method == "all" else [args.method]
@@ -149,9 +157,8 @@ def _cmd_sum(args):
 
 def _cmd_counts(args):
     m, a, x = args.m, args.a, args.x
-    _check_dp_work(m, x)
+    _check_dp_work(m, x.bit_length(), "bit_length(x)")
     t_even, t_odd = parity_counts(m, a, x)
-    expected = x / (2 * m)
     return {
         "m": m,
         "a": a,
@@ -160,8 +167,8 @@ def _cmd_counts(args):
         "t_odd": t_odd,
         "count": t_even + t_odd,
         "newman_sum": t_even - t_odd,
-        "x_over_2m": expected,
-        "remainder": t_even - expected,
+        "x_over_2m": Fraction(x, 2 * m),
+        "remainder": Fraction(2 * m * t_even - x, 2 * m),
     }
 
 
@@ -239,6 +246,7 @@ def _cmd_table(args):
 
 
 def _cmd_empirical(args):
+    _check_dp_work(args.m, args.max_exp, "max_exp")
     profile = emp.dyadic_profile(args.m, args.a, args.max_exp)
     odd = args.m
     while odd % 2 == 0:

@@ -1,12 +1,14 @@
 """Empirical corroboration: dyadic sup profiles, growth-exponent fits, and
 remainder-ratio scans.
 
-The streaming scan walks every n < 2^max_exp once, maintaining the running
-sum S(x) and, per dyadic block x in [2^(nu-1), 2^nu), the sup of |S| and the
-first x attaining it.  Work is done in aligned numpy chunks: digit-sum
-parities of a chunk are the precomputed parity table of the low bits XOR the
-parity of the chunk base, so a 2^28 scan takes seconds.  All sups and sums
-stay exact integers.
+dyadic_profile gives, per dyadic block x in [2^(nu-1), 2^nu), the exact sup
+of |S(m, a, x)| and the first x attaining it, without visiting the x: a
+max-plus (Viterbi) DP over the levels of the signed digit DP of the sums
+module carries the max and min of every residue class's partial sums, so a
+profile to depth nu costs O(m * nu) integer operations and O(m) live
+integers.  Depths up to PROFILE_MAX_EXP = 256 take milliseconds for small m.
+All sups and sums stay exact integers; only the fit and the envelope check
+work in floats.
 """
 
 from __future__ import annotations
@@ -16,18 +18,14 @@ import statistics
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .cosets import multiplicative_order
 from .exponent import LAMBDA
-from .sums import _check_query, _class_count, dyadic_sums
+from .sums import _check_query, _class_count, _levels, dyadic_sums
 
-#: Streaming scans are capped here (memory/time desk scale).
-PROFILE_MAX_EXP = 32
+#: Profiles are capped here; every float of the fit and envelope stays finite.
+PROFILE_MAX_EXP = 256
 #: Remainder-ratio scans sample x = 2^nu only, capped here.
 REMAINDER_MAX_EXP = 28
-
-_CHUNK_BITS = 22
 
 
 class BlockSup(NamedTuple):
@@ -76,50 +74,45 @@ class EnvelopeReport:
     omega_margin: float
 
 
-def _parity_table(bits: int) -> np.ndarray:
-    table = np.zeros(1 << bits, dtype=np.uint8)
-    step = 1
-    while step < len(table):
-        table[step:2 * step] = table[:step] ^ 1
-        step <<= 1
-    return table
-
-
 def dyadic_profile(m: int, a: int, max_exp: int) -> DyadicProfile:
-    """Exact per-block sups of |S(m, a, x)| for x < 2^max_exp, one pass."""
+    """Exact per-block sups of |S(m, a, x)| for x < 2^max_exp, with the first
+    x attaining each, by a max-plus DP over the levels of the signed digit DP.
+
+    For x = 2^i + t with t < 2^i, S(m, r, x) = D_i[r] - S(m, r - 2^i, t), so
+    hi_i[r] / lo_i[r], the max / min of S(m, r, t) over t < 2^i, satisfy
+
+        hi_{i+1}[r] = max(hi_i[r], D_i[r] - lo_i[r - 2^i])
+        lo_{i+1}[r] = min(lo_i[r], D_i[r] - hi_i[r - 2^i]),
+
+    and block nu = i + 1, x in [2^i, 2^(i+1)), has sup S = D_i[a] - lo_i[c]
+    and inf S = D_i[a] - hi_i[c] with c = a - 2^i.  Entries are pairs
+    (value, -t) in hi and (value, t) in lo, so tuple order keeps the smallest
+    t attaining each extremum.  Cost: O(m * max_exp) integer operations with
+    O(m) live integers of at most max_exp bits.
+    """
     _check_query(m, a, 1)
     if not 1 <= max_exp <= PROFILE_MAX_EXP:
         raise ValueError(f"max_exp must be in [1, {PROFILE_MAX_EXP}], got {max_exp}")
-    chunk_bits = min(_CHUNK_BITS, max_exp)
-    parity = _parity_table(chunk_bits)
-    chunk = 1 << chunk_bits
-
-    running = 1 if a == 0 else 0  # term n = 0 has s(0) = 0
-    boundary = [running]
+    hi = lo = [(0, 0)] * m  # t < 2^0 is t = 0 alone, with S = 0
+    boundary = []
     blocks = []
-    for nu in range(1, max_exp + 1):
-        lo, hi = 1 << (nu - 1), 1 << nu
-        sup, arg = abs(running), lo
-        for base in range(lo, hi, chunk):
-            length = min(chunk, hi - base)
-            base_parity = base.bit_count() & 1
-            first = (a - base) % m
-            idx = np.arange(first, length, m, dtype=np.int64)
-            if len(idx) == 0:
-                continue
-            signs = np.where(parity[idx] ^ base_parity, -1, 1).astype(np.int64)
-            values = running + np.cumsum(signs)
-            running = int(values[-1])
-            xs = base + idx + 1  # S changes at prefix x = n + 1
-            inside = xs < hi     # the final change belongs to the next block
-            if inside.any():
-                magnitudes = np.abs(values[inside])
-                best = int(np.argmax(magnitudes))
-                if magnitudes[best] > sup:
-                    sup = int(magnitudes[best])
-                    arg = int(xs[inside][best])
-        blocks.append(BlockSup(nu, sup, arg))
-        boundary.append(running)
+    for i, d in zip(range(max_exp + 1), _levels(m)):
+        boundary.append(d[a])  # D_i[a] = S(m, a, 2^i)
+        if i == max_exp:
+            break
+        base = 1 << i
+        pw = base % m
+        c = (a - pw) % m
+        top = (d[a] - lo[c][0], -(base + lo[c][1]))
+        bottom = (-(d[a] - hi[c][0]), -(base - hi[c][1]))
+        sup, neg_x = max(top, bottom)  # ties between |sup| and |inf|: smaller x
+        blocks.append(BlockSup(i + 1, sup, -neg_x))
+        hi_s = hi[m - pw:] + hi[:m - pw]  # hi_s[r] = hi[r - 2^i]
+        lo_s = lo[m - pw:] + lo[:m - pw]
+        hi, lo = (
+            [max(old, (v - low, -(base + t))) for old, v, (low, t) in zip(hi, d, lo_s)],
+            [min(old, (v - high, base - t)) for old, v, (high, t) in zip(lo, d, hi_s)],
+        )
     return DyadicProfile(
         m=m, a=a, max_exp=max_exp, blocks=tuple(blocks), boundary_sums=tuple(boundary)
     )
@@ -133,7 +126,8 @@ def default_window(max_exp: int) -> tuple[int, int]:
 
 
 def fit_exponent(profile: DyadicProfile, window: tuple[int, int] | None = None) -> EmpiricalFit:
-    """Least-squares slope of log2(sup) against nu over the window."""
+    """Least-squares slope of log2(sup) against nu over the window, in closed
+    form on the centred data; residual is the rms distance to the line."""
     if window is None:
         window = default_window(profile.max_exp)
     lo, hi = window
@@ -145,14 +139,20 @@ def fit_exponent(profile: DyadicProfile, window: tuple[int, int] | None = None) 
     zeros = [b.nu for b in picked if b.sup == 0]
     if zeros:
         raise ValueError(f"window {window} contains zero sups at nu in {zeros}")
-    xs = np.array([b.nu for b in picked], dtype=float)
-    ys = np.array([math.log2(b.sup) for b in picked], dtype=float)
-    design = np.vstack([xs, np.ones_like(xs)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, ys, rcond=None)
-    rms = float(np.sqrt(np.mean((ys - design @ [slope, intercept]) ** 2)))
+    xs = [b.nu for b in picked]
+    ys = [math.log2(b.sup) for b in picked]
+    x_mean = sum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
+    slope = sxy / sxx
+    intercept = y_mean - slope * x_mean
+    rms = math.sqrt(
+        math.fsum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys)) / len(xs)
+    )
     return EmpiricalFit(
-        exponent_estimate=float(slope),
-        intercept=float(intercept),
+        exponent_estimate=slope,
+        intercept=intercept,
         residual=rms,
         window=(lo, hi),
     )
@@ -216,7 +216,7 @@ def envelope_check(profile: DyadicProfile, alpha_value: float) -> EnvelopeReport
     rest = [b for b in blocks if b.nu > calib_end]
     if not calib or not rest:
         raise ValueError(
-            f"profile too short to split at calib_end={calib_end}; deepen the scan"
+            f"profile too short to split at calib_end={calib_end}; deepen the profile"
         )
     up = alpha_value + 0.05
     upper_c = max(b.sup / (1 << b.nu) ** up for b in calib)

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .cosets import PRIMITIVE, CosetDecomposition, classify_prime, cyclotomic_cosets
 from .spectral import (
     MP_ABS_TOL,
@@ -86,6 +84,8 @@ def _poly_from_roots(roots):
 
 
 def _effective_roots_mp(dec: CosetDecomposition):
+    import mpmath
+
     table = _unit_table_mp(dec.m)
     out = []
     for coset, size in zip(dec.cosets, dec.sizes):
@@ -115,6 +115,8 @@ def coefficients_spectral(dec: CosetDecomposition) -> RecurrenceSpec:
     if max(residuals) > tol:
         # |c_i| <= C(r, i) * 2^(h i) < 2^(r (h+1)), so this precision leaves
         # plenty of correct fractional digits
+        import mpmath  # only this fallback needs it; importing it costs the CLI start
+
         dps = _dps_for_bits(dec.r * (dec.h + 1) + 8)
         with mpmath.workdps(dps):
             tail_mp = _poly_from_roots(_effective_roots_mp(dec))[1:]

@@ -26,8 +26,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath
-
 from .cosets import CosetDecomposition
 from .sums import _check_query, binary_exponents
 
@@ -68,6 +66,8 @@ def _unit_table(m: int) -> list[complex]:
 
 
 def _unit_table_mp(m: int) -> list:
+    import mpmath
+
     return [mpmath.expjpi(mpmath.mpf(2 * t) / m) for t in range(m)]
 
 
@@ -130,6 +130,8 @@ def _round_checked(value, tol: float, what: str, retry, magnitude_bits: int):
         resid = abs(value - nearest)
         if resid <= tol:
             return nearest, float(resid)
+    import mpmath  # only this fallback needs it; importing it costs the CLI start
+
     dps = _dps_for_bits(magnitude_bits)
     with mpmath.workdps(dps):
         mp_value = retry()

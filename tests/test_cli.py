@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -99,13 +102,27 @@ def test_dp_work_guard_refuses_before_any_dp(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "newman_sum_dp", no_dp)
     monkeypatch.setattr(cli, "parity_counts", no_dp)
+    monkeypatch.setattr(cli.emp, "dyadic_profile", no_dp)
+    monkeypatch.setattr(cli.emp, "gelfond_remainder_check", no_dp)
+    # empirical runs max_exp levels: 65537 * 256 is just past the bound
+    assert 65537 * 256 > cli.MAX_DP_WORK
     for argv in (("sum", "10007", "5", str(x), "--method", "dp"),
                  ("sum", "10007", "5", str(x), "--method", "all"),
-                 ("counts", "10007", "5", str(x))):
+                 ("counts", "10007", "5", str(x)),
+                 ("empirical", "65537", "0", "--max-exp", "256")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert "digit-DP limit" in err
+
+
+def test_import_loads_neither_numpy_nor_mpmath():
+    code = ("import sys, gelfond.cli; "
+            "print(sorted(k for k in ('numpy', 'mpmath') if k in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_big_integers_serialize_as_strings(capsys):
@@ -123,8 +140,19 @@ def test_counts_command(capsys):
     assert result["t_odd"] == 4
     assert result["count"] == 5
     assert result["newman_sum"] == -3
-    assert result["x_over_2m"] == pytest.approx(16 / 6, abs=1e-8)
-    assert result["remainder"] == pytest.approx(1 - 16 / 6, abs=1e-8)
+    assert result["x_over_2m"] == 2.66666667
+    assert result["remainder"] == -1.66666667
+
+
+def test_counts_past_float_range_are_exact(capsys):
+    x = 3**700
+    env = run_json(capsys, "counts", "3", "2", str(x))
+    result = env["result"]
+    t_even = int(result["t_even"])
+    assert t_even + int(result["t_odd"]) == int(result["count"])
+    # x / 6 overflows a float, so it is rendered as the exact reduced "p/q"
+    assert result["x_over_2m"] == f"{3**699}/2"
+    assert result["remainder"] == pytest.approx((6 * t_even - x) / 6, rel=1e-12)
 
 
 def test_recurrence_command(capsys):
@@ -226,7 +254,7 @@ def test_validation_exit_codes(capsys):
     assert run_cli(capsys, "cosets", "4")[0] == 2
     assert run_cli(capsys, "sum", "5", "7", "3")[0] == 2
     assert run_cli(capsys, "classify", "15")[0] == 2
-    assert run_cli(capsys, "empirical", "3", "0", "--max-exp", "40")[0] == 2
+    assert run_cli(capsys, "empirical", "3", "0", "--max-exp", "257")[0] == 2
 
 
 def test_argparse_errors_use_code_2():

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-import gelfond.empirical as empirical
 from gelfond import (
     BlockSup,
     DyadicProfile,
@@ -60,11 +59,43 @@ def test_boundaries_match_dp():
             assert value == newman_sum_dp(m, a, 1 << nu), (m, a, nu)
 
 
-def test_profile_chunking_invariant(monkeypatch):
-    # tiny chunks must reproduce the default-chunk profile exactly
-    reference = dyadic_profile(7, 4, 12)
-    monkeypatch.setattr(empirical, "_CHUNK_BITS", 5)
-    assert dyadic_profile(7, 4, 12) == reference
+def _enumerated_profile(m, a, max_exp):
+    """(blocks, boundary_sums) of dyadic_profile by visiting every x."""
+    values = [0]  # values[x] = S(m, a, x)
+    for n in range(1 << max_exp):
+        values.append(values[-1] + (n % m == a) * (1 - 2 * (n.bit_count() & 1)))
+    blocks = []
+    for nu in range(1, max_exp + 1):
+        block = range(1 << (nu - 1), 1 << nu)
+        sup = max(abs(values[x]) for x in block)
+        first = next(x for x in block if abs(values[x]) == sup)
+        blocks.append(BlockSup(nu, sup, first))
+    return tuple(blocks), tuple(values[1 << nu] for nu in range(max_exp + 1))
+
+
+def test_profile_equals_enumeration_oracle():
+    # every block sup, first argmax x and boundary sum, odd and even m
+    for m in range(1, 24):
+        for a in range(m):
+            blocks, boundary = _enumerated_profile(m, a, 14)
+            for max_exp in (1, 2, 7, 14):
+                profile = dyadic_profile(m, a, max_exp)
+                assert profile.blocks == blocks[:max_exp], (m, a, max_exp)
+                assert profile.boundary_sums == boundary[:max_exp + 1], (m, a, max_exp)
+
+
+def test_deep_profiles_corroborate_alpha():
+    # at nu = 256 the calibration window holds many quasi-periods h, so every
+    # residue fits alpha(m) closely and stays inside the envelope, including
+    # the m = 23 residues and (17, 14) that fail the envelope at nu <= 26
+    for m in (3, 17, 23, 43):
+        alpha_value = alpha(m).alpha
+        for a in range(m):
+            profile = dyadic_profile(m, a, 256)
+            fit = fit_exponent(profile)
+            assert abs(fit.exponent_estimate - alpha_value) <= 0.005, (m, a, fit)
+            report = envelope_check(profile, alpha_value)
+            assert report.upper_violations == (), (m, a)
 
 
 def test_profile_argmax_is_first_attainer():
@@ -79,7 +110,7 @@ def test_profile_argmax_is_first_attainer():
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        dyadic_profile(3, 0, 33)
+        dyadic_profile(3, 0, 257)
     with pytest.raises(ValueError):
         dyadic_profile(3, 0, 0)
     with pytest.raises(ValueError):
