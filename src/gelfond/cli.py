@@ -31,14 +31,18 @@ from .sums import ENUMERATION_CAP, newman_sum_dp, newman_sum_enumerate, parity_c
 SCHEMA_VERSION = "1"
 BIG_INT = 1 << 53
 
-#: Largest m * (DP levels) that `sum` (dp, all), `counts` and `empirical`
-#: accept.  The digit DP costs m * bit_length(x) additions of integers of at
-#: most bit_length(x) bits, with O(m) of them live.  At this bound a query
-#: took at most 1.7 s and 225 MiB (m = 2^23, 2-bit x) on a 2-CPU Xeon with
-#: Python 3.11.  `empirical` runs max_exp levels of the max-plus profile DP,
-#: which is slower per cell: m = 65521, max_exp = 256 took about 42 s and
-#: 62 MiB on the same machine.
+#: Largest m * bit_length(x) that `sum` (dp, all) and `counts` accept.  The
+#: DP costs m * bit_length(x) additions of integers of at most bit_length(x)
+#: bits, with O(m) of them live.  At this bound a query took at most 1.7 s
+#: and 225 MiB (m = 2^23, 2-bit x) on a 2-CPU Xeon with Python 3.11.
 MAX_DP_WORK = 1 << 24
+#: Largest predicted profile time (empirical.profile_cost_ns) that `empirical`
+#: accepts.  Every max_exp <= 32 predicts at most 0.15 s for any m, so only
+#: deeper profiles of larger m are refused.  At this bound a run took at most
+#: 1.3 s and 30 MiB (m = 3906 at max_exp = 256, m = 25000 at max_exp = 40) on
+#: the same machine; the remainder scan picks its cheaper route too and stays
+#: under 0.02 s for every m.
+MAX_PROFILE_NS = 10**9
 
 #: Moduli of the published closing table of exponents.
 PAPER_TABLE_MODULI = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -121,16 +125,26 @@ def _cmd_alpha(args):
     return _alpha_report_payload(report, args)
 
 
-def _check_dp_work(m: int, levels: int, what: str) -> None:
-    work = m * levels
+def _check_dp_work(m: int, x: int) -> None:
+    work = m * x.bit_length()
     if work > MAX_DP_WORK:
-        raise ValueError(f"m * {what} = {work} exceeds the digit-DP limit {MAX_DP_WORK}")
+        raise ValueError(
+            f"m * bit_length(x) = {work} exceeds the digit-DP limit {MAX_DP_WORK}"
+        )
+
+
+def _check_profile_cost(m: int, max_exp: int) -> None:
+    cost = emp.profile_cost_ns(m, max_exp)
+    if cost > MAX_PROFILE_NS:
+        raise ValueError(
+            f"predicted profile time {cost} ns exceeds the limit {MAX_PROFILE_NS} ns"
+        )
 
 
 def _cmd_sum(args):
     m, a, x = args.m, args.a, args.x
     if args.method in ("dp", "all"):
-        _check_dp_work(m, x.bit_length(), "bit_length(x)")
+        _check_dp_work(m, x)
     methods = {}
     skipped = []
     wanted = ["enumerate", "dp", "explicit"] if args.method == "all" else [args.method]
@@ -157,7 +171,7 @@ def _cmd_sum(args):
 
 def _cmd_counts(args):
     m, a, x = args.m, args.a, args.x
-    _check_dp_work(m, x.bit_length(), "bit_length(x)")
+    _check_dp_work(m, x)
     t_even, t_odd = parity_counts(m, a, x)
     return {
         "m": m,
@@ -246,7 +260,7 @@ def _cmd_table(args):
 
 
 def _cmd_empirical(args):
-    _check_dp_work(args.m, args.max_exp, "max_exp")
+    _check_profile_cost(args.m, args.max_exp)
     profile = emp.dyadic_profile(args.m, args.a, args.max_exp)
     odd = args.m
     while odd % 2 == 0:

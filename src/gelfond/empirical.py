@@ -2,13 +2,14 @@
 remainder-ratio scans.
 
 dyadic_profile gives, per dyadic block x in [2^(nu-1), 2^nu), the exact sup
-of |S(m, a, x)| and the first x attaining it, without visiting the x: a
-max-plus (Viterbi) DP over the levels of the signed digit DP of the sums
-module carries the max and min of every residue class's partial sums, so a
-profile to depth nu costs O(m * nu) integer operations and O(m) live
-integers.  Depths up to PROFILE_MAX_EXP = 256 take milliseconds for small m.
-All sups and sums stay exact integers; only the fit and the envelope check
-work in floats.
+of |S(m, a, x)| and the first x attaining it, by the cheaper of two exact
+routes.  A max-plus (Viterbi) DP over the levels of the signed digit DP of
+the sums module carries the max and min of every residue class's partial
+sums without visiting the x: O(m * nu) integer operations, O(m) live
+integers, so depths up to PROFILE_MAX_EXP = 256 take milliseconds for small
+m.  A walk over the 2^nu / m members of the class costs O(2^nu / m) steps in
+O(1) memory and takes over for large m at shallow depths.  All sups and sums
+stay exact integers; only the fit and the envelope check work in floats.
 """
 
 from __future__ import annotations
@@ -26,6 +27,13 @@ from .sums import _check_query, _class_count, _levels, dyadic_sums
 PROFILE_MAX_EXP = 256
 #: Remainder-ratio scans sample x = 2^nu only, capped here.
 REMAINDER_MAX_EXP = 28
+#: Measured cost in ns of one step of each exact route (2-CPU Xeon, Python
+#: 3.11): a (residue, level) cell of the max-plus DP, a cell of the signed
+#: digit DP, and one class member visited by the walk.  Deep max-plus cells
+#: cost more, up to about 2500 ns at nu = 256, as their integers grow.
+MAXPLUS_CELL_NS = 1000
+DIGIT_CELL_NS = 50
+WALK_STEP_NS = 150
 
 
 class BlockSup(NamedTuple):
@@ -74,9 +82,20 @@ class EnvelopeReport:
     omega_margin: float
 
 
-def dyadic_profile(m: int, a: int, max_exp: int) -> DyadicProfile:
-    """Exact per-block sups of |S(m, a, x)| for x < 2^max_exp, with the first
-    x attaining each, by a max-plus DP over the levels of the signed digit DP.
+def _walk_steps(m: int, max_exp: int) -> int:
+    """The number of class members below 2^max_exp, give or take one."""
+    return (1 << max_exp) // m + 1
+
+
+def profile_cost_ns(m: int, max_exp: int) -> int:
+    """Predicted time of dyadic_profile(m, a, max_exp) in ns on the machine
+    of the step costs above: its cheaper route, the max-plus DP's
+    m * max_exp cells or the walk's 2^max_exp / m class members."""
+    return min(MAXPLUS_CELL_NS * m * max_exp, WALK_STEP_NS * _walk_steps(m, max_exp))
+
+
+def _maxplus_profile(m: int, a: int, max_exp: int) -> tuple[tuple[BlockSup, ...], tuple[int, ...]]:
+    """(blocks, boundary_sums) by the max-plus DP over the signed digit DP.
 
     For x = 2^i + t with t < 2^i, S(m, r, x) = D_i[r] - S(m, r - 2^i, t), so
     hi_i[r] / lo_i[r], the max / min of S(m, r, t) over t < 2^i, satisfy
@@ -87,12 +106,8 @@ def dyadic_profile(m: int, a: int, max_exp: int) -> DyadicProfile:
     and block nu = i + 1, x in [2^i, 2^(i+1)), has sup S = D_i[a] - lo_i[c]
     and inf S = D_i[a] - hi_i[c] with c = a - 2^i.  Entries are pairs
     (value, -t) in hi and (value, t) in lo, so tuple order keeps the smallest
-    t attaining each extremum.  Cost: O(m * max_exp) integer operations with
-    O(m) live integers of at most max_exp bits.
+    t attaining each extremum.
     """
-    _check_query(m, a, 1)
-    if not 1 <= max_exp <= PROFILE_MAX_EXP:
-        raise ValueError(f"max_exp must be in [1, {PROFILE_MAX_EXP}], got {max_exp}")
     hi = lo = [(0, 0)] * m  # t < 2^0 is t = 0 alone, with S = 0
     boundary = []
     blocks = []
@@ -113,9 +128,52 @@ def dyadic_profile(m: int, a: int, max_exp: int) -> DyadicProfile:
             [max(old, (v - low, -(base + t))) for old, v, (low, t) in zip(hi, d, lo_s)],
             [min(old, (v - high, base - t)) for old, v, (high, t) in zip(lo, d, hi_s)],
         )
-    return DyadicProfile(
-        m=m, a=a, max_exp=max_exp, blocks=tuple(blocks), boundary_sums=tuple(boundary)
-    )
+    return tuple(blocks), tuple(boundary)
+
+
+def _walk_profile(m: int, a: int, max_exp: int) -> tuple[tuple[BlockSup, ...], tuple[int, ...]]:
+    """(blocks, boundary_sums) by visiting the class members n == a (mod m)
+    below 2^max_exp in order.  S(m, a, x) only changes at x = n + 1, so a
+    block's first argmax is its start 2^i or one of those x."""
+    s, n = 0, a  # n: the next member to count; s: the sum over those counted
+    boundary = []
+    blocks = []
+    for i in range(max_exp + 1):
+        if n == (1 << i) - 1:  # the last member below 2^i
+            s += 1 - ((n.bit_count() & 1) << 1)
+            n += m
+        boundary.append(s)  # S(m, a, 2^i)
+        if i == max_exp:
+            break
+        end = (2 << i) - 1  # members n < end give x = n + 1 inside block i + 1
+        best, best_x = abs(s), 1 << i
+        while n < end:
+            s += 1 - ((n.bit_count() & 1) << 1)
+            n += m
+            if abs(s) > best:
+                best, best_x = abs(s), n - m + 1
+        blocks.append(BlockSup(i + 1, best, best_x))
+    return tuple(blocks), tuple(boundary)
+
+
+def dyadic_profile(m: int, a: int, max_exp: int) -> DyadicProfile:
+    """Exact per-block sups of |S(m, a, x)| for x < 2^max_exp, with the first
+    x attaining each, and the boundary sums S(m, a, 2^nu).
+
+    Two exact routes give identical profiles; the cheaper one runs.  The
+    max-plus DP costs m * max_exp cells with O(m) live integers; the class
+    walk costs 2^max_exp / m steps in O(1) memory.  The DP wins while
+    m^2 * max_exp is below about 2^max_exp / 7, so it takes every small m
+    and every deep profile; the walk takes large m at shallow depths.
+    """
+    _check_query(m, a, 1)
+    if not 1 <= max_exp <= PROFILE_MAX_EXP:
+        raise ValueError(f"max_exp must be in [1, {PROFILE_MAX_EXP}], got {max_exp}")
+    if MAXPLUS_CELL_NS * m * max_exp <= WALK_STEP_NS * _walk_steps(m, max_exp):
+        blocks, boundary = _maxplus_profile(m, a, max_exp)
+    else:
+        blocks, boundary = _walk_profile(m, a, max_exp)
+    return DyadicProfile(m=m, a=a, max_exp=max_exp, blocks=blocks, boundary_sums=boundary)
 
 
 def default_window(max_exp: int) -> tuple[int, int]:
@@ -162,14 +220,18 @@ def gelfond_remainder_check(m: int, a: int, max_exp: int) -> RemainderCheck:
     """Remainder ratios |t_even - x/(2m)| / x^lambda at x = 2^nu.
 
     The numerator is computed exactly as |2m*t_even - x| / (2m), with
-    t_even = (count + S(m, a, 2^nu)) / 2 from one dyadic_sums pass.  A ratio
+    t_even = (count + S(m, a, 2^nu)) / 2, the S read from one dyadic_sums
+    pass or, when it is cheaper (large m), from the class walk.  A ratio
     that keeps growing across the top blocks would contradict the remainder
     bound; that situation is flagged, not silently accepted.
     """
     _check_query(m, a, 1)
     if not 1 <= max_exp <= REMAINDER_MAX_EXP:
         raise ValueError(f"max_exp must be in [1, {REMAINDER_MAX_EXP}], got {max_exp}")
-    levels = dyadic_sums(m, a, max_exp)
+    if DIGIT_CELL_NS * m * max_exp <= WALK_STEP_NS * _walk_steps(m, max_exp):
+        levels = dyadic_sums(m, a, max_exp)
+    else:
+        levels = _walk_profile(m, a, max_exp)[1]
     ratios = []
     for nu in range(1, max_exp + 1):
         x = 1 << nu

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import gelfond.cli as cli
-from gelfond import newman_sum_dp
+from gelfond import newman_sum_dp, newman_sum_enumerate
 
 
 def run_cli(capsys, *argv):
@@ -102,18 +102,40 @@ def test_dp_work_guard_refuses_before_any_dp(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "newman_sum_dp", no_dp)
     monkeypatch.setattr(cli, "parity_counts", no_dp)
-    monkeypatch.setattr(cli.emp, "dyadic_profile", no_dp)
-    monkeypatch.setattr(cli.emp, "gelfond_remainder_check", no_dp)
-    # empirical runs max_exp levels: 65537 * 256 is just past the bound
-    assert 65537 * 256 > cli.MAX_DP_WORK
     for argv in (("sum", "10007", "5", str(x), "--method", "dp"),
                  ("sum", "10007", "5", str(x), "--method", "all"),
-                 ("counts", "10007", "5", str(x)),
-                 ("empirical", "65537", "0", "--max-exp", "256")):
+                 ("counts", "10007", "5", str(x))):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert "digit-DP limit" in err
+
+
+def test_profile_cost_guard(capsys, monkeypatch):
+    # every depth up to 32, the depth cap of the numpy scan, stays accepted
+    # for every m: from m = 2^16 on the walk has at most 2^16 + 1 steps
+    assert max(cli.emp.profile_cost_ns(m, 32) for m in range(1, 1 << 16)) <= cli.MAX_PROFILE_NS
+    # a large m at a shallow depth runs the class walk
+    env = run_json(capsys, "empirical", "1572864", "0", "--max-exp", "28")
+    blocks = env["result"]["blocks"]
+    assert len(blocks) == 28
+    for nu, sup, x in blocks:
+        assert abs(newman_sum_enumerate(1572864, 0, x, cap=x)) == sup, nu
+    # at the bound: 3906 * 256 max-plus cells predict 0.999936 s
+    assert cli.emp.profile_cost_ns(3906, 256) <= cli.MAX_PROFILE_NS
+    env = run_json(capsys, "empirical", "3906", "1", "--max-exp", "256")
+    assert len(env["result"]["blocks"]) == 256
+
+    def no_dp(*args):
+        raise AssertionError("the profile must not start")
+
+    monkeypatch.setattr(cli.emp, "dyadic_profile", no_dp)
+    monkeypatch.setattr(cli.emp, "gelfond_remainder_check", no_dp)
+    for m in ("3907", "65537"):
+        code, out, err = run_cli(capsys, "empirical", m, "0", "--max-exp", "256")
+        assert code == 2, m
+        assert out == ""
+        assert "predicted profile time" in err
 
 
 def test_import_loads_neither_numpy_nor_mpmath():

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+import gelfond.empirical as empirical
 from gelfond import (
+    LAMBDA,
     BlockSup,
     DyadicProfile,
     alpha,
@@ -13,6 +15,7 @@ from gelfond import (
     fit_exponent,
     gelfond_remainder_check,
     newman_sum_dp,
+    newman_sum_enumerate,
 )
 
 
@@ -74,14 +77,55 @@ def _enumerated_profile(m, a, max_exp):
 
 
 def test_profile_equals_enumeration_oracle():
-    # every block sup, first argmax x and boundary sum, odd and even m
+    # both exact routes and the public choice between them: every block sup,
+    # first argmax x and boundary sum, odd and even m
     for m in range(1, 24):
         for a in range(m):
             blocks, boundary = _enumerated_profile(m, a, 14)
             for max_exp in (1, 2, 7, 14):
+                want = (blocks[:max_exp], boundary[:max_exp + 1])
                 profile = dyadic_profile(m, a, max_exp)
-                assert profile.blocks == blocks[:max_exp], (m, a, max_exp)
-                assert profile.boundary_sums == boundary[:max_exp + 1], (m, a, max_exp)
+                assert (profile.blocks, profile.boundary_sums) == want, (m, a, max_exp)
+                assert empirical._maxplus_profile(m, a, max_exp) == want, (m, a, max_exp)
+                assert empirical._walk_profile(m, a, max_exp) == want, (m, a, max_exp)
+
+
+def test_profile_routes_agree_at_large_m():
+    rng = random.Random(5)
+    for m in (1000, 1001, 4096, 4487):
+        a = rng.randrange(m)
+        assert empirical._maxplus_profile(m, a, 24) == empirical._walk_profile(m, a, 24), (m, a)
+
+
+def test_large_m_profile_walks_the_class(monkeypatch):
+    # m^2 * nu far above 2^nu: the max-plus DP would take seconds, the walk
+    # visits 2^32 / 100003 members
+    def no_dp(*args):
+        raise AssertionError("the max-plus DP must not run")
+
+    monkeypatch.setattr(empirical, "_maxplus_profile", no_dp)
+    profile = dyadic_profile(100003, 1, 32)
+    assert profile.boundary_sums[-1] == newman_sum_dp(100003, 1, 1 << 32)
+    block = profile.blocks[-1]
+    assert abs(newman_sum_dp(100003, 1, block.argmax_x)) == block.sup
+    # the small profiles of the benchmark and the tests keep the DP
+    with pytest.raises(AssertionError, match="max-plus"):
+        dyadic_profile(19, 3, 26)
+
+
+def test_large_m_remainder_check_walks_the_class(monkeypatch):
+    # m * 28 digit-DP cells cost more than the 2^28 / m class members here
+    def no_dp(*args):
+        raise AssertionError("the digit DP must not run")
+
+    monkeypatch.setattr(empirical, "dyadic_sums", no_dp)
+    for m, a in ((7919, 5), (600000, 1), (1572864, 0)):
+        report = gelfond_remainder_check(m, a, 28)
+        for nu, ratio in enumerate(report.ratios, start=1):
+            x = 1 << nu
+            s = newman_sum_enumerate(m, a, x, cap=x)
+            t_even = (len(range(a, x, m)) + s) // 2
+            assert ratio == abs(2 * m * t_even - x) / (2 * m * x**LAMBDA), (m, a, nu)
 
 
 def test_deep_profiles_corroborate_alpha():
