@@ -3,8 +3,9 @@ coset spectrum of 2 mod m, the integer recurrences those sums satisfy, and
 the exact remainder exponent of Gelfond's digit theorem in the binary case.
 
 Every quantity is computable by at least two independent routes (direct
-enumeration, digit DP, complex-exponential formulas, exact rational linear
-algebra) and the test suite insists the routes agree exactly.
+enumeration, digit DP, character sums mod split primes, complex root
+products, exact rational linear algebra) and the test suite insists the
+routes agree exactly.
 """
 
 from .cosets import (

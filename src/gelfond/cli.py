@@ -25,7 +25,7 @@ from .recurrence import (
     coefficients_spectral,
     verify_recurrence,
 )
-from .spectral import newman_sum_explicit
+from .spectral import explicit_cost_ns, newman_sum_explicit
 from .sums import ENUMERATION_CAP, newman_sum_dp, newman_sum_enumerate, parity_counts
 
 SCHEMA_VERSION = "1"
@@ -43,6 +43,10 @@ MAX_DP_WORK = 1 << 24
 #: the same machine; the remainder scan picks its cheaper route too and stays
 #: under 0.02 s for every m.
 MAX_PROFILE_NS = 10**9
+#: Largest predicted time (spectral.explicit_cost_ns) that `sum` with
+#: `--method explicit` or `all` accepts.  At this bound, m = 17 with a
+#: 2381-bit x of all ones took 1.2-1.3 s on the same machine.
+MAX_EXPLICIT_NS = 10**9
 
 #: Moduli of the published closing table of exponents.
 PAPER_TABLE_MODULI = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -141,10 +145,20 @@ def _check_profile_cost(m: int, max_exp: int) -> None:
         )
 
 
+def _check_explicit_cost(m: int, x: int) -> None:
+    cost = explicit_cost_ns(m, x)
+    if cost > MAX_EXPLICIT_NS:
+        raise ValueError(
+            f"predicted explicit-sum time {cost} ns exceeds the limit {MAX_EXPLICIT_NS} ns"
+        )
+
+
 def _cmd_sum(args):
     m, a, x = args.m, args.a, args.x
     if args.method in ("dp", "all"):
         _check_dp_work(m, x)
+    if args.method in ("explicit", "all"):
+        _check_explicit_cost(m, x)
     methods = {}
     skipped = []
     wanted = ["enumerate", "dp", "explicit"] if args.method == "all" else [args.method]

@@ -22,14 +22,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cosets import PRIMITIVE, CosetDecomposition, classify_prime, cyclotomic_cosets
-from .spectral import (
-    MP_ABS_TOL,
-    ResidualError,
-    _dps_for_bits,
-    _unit_table_mp,
-    characteristic_roots,
-)
+from .spectral import ResidualError, characteristic_roots
 from .sums import _sums_in_one_pass, dyadic_sums, newman_sum_dp
+
+#: Minimum decimal digits used by the extended-precision fallback (~166 bits);
+#: raised adaptively when the coefficients themselves are larger than that.
+MP_DPS = 50
+
+#: Absolute residual the extended-precision coefficients must meet to be rounded.
+MP_ABS_TOL = 1e-10
 
 #: Offsets tried for the sum-based linear system before reporting singularity.
 SYSTEM_OFFSETS = range(0, 6)
@@ -81,6 +82,18 @@ def _poly_from_roots(roots):
             nxt[i + 1] -= c * root
         poly = nxt
     return poly
+
+
+def _unit_table_mp(m: int) -> list:
+    import mpmath
+
+    return [mpmath.expjpi(mpmath.mpf(2 * t) / m) for t in range(m)]
+
+
+def _dps_for_bits(magnitude_bits: int) -> int:
+    """Working precision so that a value of the given bit size still carries
+    ~30 correct fractional digits."""
+    return max(MP_DPS, int(magnitude_bits * 0.302) + 30)
 
 
 def _effective_roots_mp(dec: CosetDecomposition):

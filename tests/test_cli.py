@@ -138,6 +138,29 @@ def test_profile_cost_guard(capsys, monkeypatch):
         assert "predicted profile time" in err
 
 
+def test_explicit_cost_guard(capsys, monkeypatch):
+    # README's `sum 17 0 131072 --method all` and every explicit sum of the
+    # benchmark's CLI session (m < 40, x < 2^20) are accepted
+    assert cli.explicit_cost_ns(17, 131072) <= cli.MAX_EXPLICIT_NS
+    assert max(cli.explicit_cost_ns(m, (1 << 20) - 1) for m in range(1, 41)) <= cli.MAX_EXPLICIT_NS
+    # at the bound: 17 with 2381 one-bits predicts 0.975 s, one more bit 1.0009 s
+    at_bound, past_bound = (1 << 2381) - 1, (1 << 2382) - 1
+    assert cli.explicit_cost_ns(17, at_bound) <= cli.MAX_EXPLICIT_NS
+    assert cli.explicit_cost_ns(17, past_bound) > cli.MAX_EXPLICIT_NS
+    env = run_json(capsys, "sum", "17", "3", str(at_bound), "--method", "explicit")
+    assert env["result"]["value"] == str(newman_sum_dp(17, 3, at_bound))  # 1506 bits
+
+    def no_explicit(*args):
+        raise AssertionError("the explicit sum must not start")
+
+    monkeypatch.setattr(cli, "newman_sum_explicit", no_explicit)
+    for x, method in ((past_bound, "explicit"), (3**9000, "explicit"), (3**9000, "all")):
+        code, out, err = run_cli(capsys, "sum", "17", "5", str(x), "--method", method)
+        assert code == 2, (x.bit_length(), method)
+        assert out == ""
+        assert "predicted explicit-sum time" in err
+
+
 def test_import_loads_neither_numpy_nor_mpmath():
     code = ("import sys, gelfond.cli; "
             "print(sorted(k for k in ('numpy', 'mpmath') if k in sys.modules))")

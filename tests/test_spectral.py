@@ -1,6 +1,9 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -100,9 +103,29 @@ def test_explicit_even_and_unit_moduli():
 
 
 def test_explicit_huge_bound_extended_precision():
-    # doubles overflow here, so the adaptive-precision path must carry it
+    # far past the double range: the split-prime CRT must carry every bit
     x = (1 << 300) + 54321
     assert newman_sum_explicit(17, 3, x) == newman_sum_dp(17, 3, x)
+
+
+def test_explicit_equals_dp_random_large():
+    rng = random.Random(17)
+    cases = [(rng.randrange(1, 201), rng.randrange(1, 300)) for _ in range(60)]
+    cases += [(1, 2000), (2, 2000), (3, 2000), (7, 1500), (96, 1200), (199, 400)]
+    for m, bits in cases:
+        a = rng.randrange(m)
+        x = rng.getrandbits(bits) | 1 << (bits - 1)
+        assert newman_sum_explicit(m, a, x) == newman_sum_dp(m, a, x), (m, a, bits)
+
+
+def test_explicit_leaves_mpmath_unloaded():
+    code = ("import sys; from gelfond.spectral import newman_sum_explicit; "
+            "newman_sum_explicit(17, 3, 2**300 + 54321); "
+            "print('mpmath' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_pow2_known_values():
@@ -114,9 +137,9 @@ def test_pow2_known_values():
 def test_pow2_random_matches_dp():
     rng = random.Random(16)
     for _ in range(100):
-        m = rng.choice([3, 5, 7, 9, 11, 15, 21])
+        m = rng.choice([3, 5, 7, 9, 11, 15, 21, 63])
         a = rng.randrange(m)
-        nu = rng.randrange(1, 40)
+        nu = rng.randrange(1, 301)
         assert newman_sum_pow2(m, a, nu) == newman_sum_dp(m, a, 1 << nu), (m, a, nu)
 
 
