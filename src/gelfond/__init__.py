@@ -4,7 +4,7 @@ the exact remainder exponent of Gelfond's digit theorem in the binary case.
 
 Every quantity is computable by at least two independent routes (direct
 enumeration, digit DP, character sums mod split primes, complex root
-products, exact rational linear algebra) and the test suite insists the
+products, exact integer linear algebra) and the test suite insists the
 routes agree exactly.
 """
 
@@ -40,7 +40,6 @@ from .exponent import (
     alpha_closed_prime,
     alpha_even,
     alpha_for_rep,
-    artin_scan,
 )
 from .recurrence import (
     NonIntegerCoefficientError,
@@ -104,7 +103,6 @@ __all__ = [
     "alpha_closed_prime",
     "alpha_even",
     "alpha_for_rep",
-    "artin_scan",
     "binary_exponents",
     "characteristic_roots",
     "classify_prime",

@@ -14,11 +14,10 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 
 from . import empirical as emp
 from . import exponent as expo
-from .cosets import classify_prime, cyclotomic_cosets, scan_primes
+from .cosets import _odd_part, classify_prime, cyclotomic_cosets, scan_primes
 from .recurrence import (
     SingularSystemError,
     coefficients_from_sums,
@@ -65,16 +64,21 @@ def _jsonify(obj, precision: int):
         if math.isfinite(obj):
             return round(obj, precision)
         return repr(obj)
-    if isinstance(obj, Fraction):
-        try:
-            return round(float(obj), precision)
-        except OverflowError:
-            return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v, precision) for v in obj]
     if isinstance(obj, dict):
         return {k: _jsonify(v, precision) for k, v in obj.items()}
     return obj
+
+
+def _ratio(n: int, d: int):
+    """n / d (d > 0) as the correctly rounded float, or past the float range
+    as the exact reduced "p/q" string."""
+    try:
+        return n / d
+    except OverflowError:
+        g = math.gcd(n, d)
+        return f"{n // g}/{d // g}"
 
 
 def _truncate(x: float, digits: int) -> str:
@@ -195,8 +199,8 @@ def _cmd_counts(args):
         "t_odd": t_odd,
         "count": t_even + t_odd,
         "newman_sum": t_even - t_odd,
-        "x_over_2m": Fraction(x, 2 * m),
-        "remainder": Fraction(2 * m * t_even - x, 2 * m),
+        "x_over_2m": _ratio(x, 2 * m),
+        "remainder": _ratio(2 * m * t_even - x, 2 * m),
     }
 
 
@@ -247,7 +251,7 @@ def _cmd_classify(args):
 
 
 def _cmd_scan(args):
-    primes = scan_primes(args.max, args.classification, threads=args.threads)
+    primes = scan_primes(args.max, args.classification)
     result = {
         "class": args.classification,
         "max": args.max,
@@ -255,7 +259,7 @@ def _cmd_scan(args):
         "primes": primes,
     }
     if args.with_alpha:
-        alphas = [math.log(p) / ((p - 1) * math.log(2)) for p in primes]
+        alphas = [expo._closed_prime(p) for p in primes]
         result["alphas"] = alphas
         result["min_alpha"] = min(alphas, default=None)
     return result
@@ -276,9 +280,7 @@ def _cmd_table(args):
 def _cmd_empirical(args):
     _check_profile_cost(args.m, args.max_exp)
     profile = emp.dyadic_profile(args.m, args.a, args.max_exp)
-    odd = args.m
-    while odd % 2 == 0:
-        odd //= 2
+    odd = _odd_part(args.m)
     alpha_ref = expo.alpha(odd).alpha if odd >= 3 else 0.0
     remainder = emp.gelfond_remainder_check(
         args.m, args.a, min(args.max_exp, emp.REMAINDER_MAX_EXP)
@@ -414,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["semiprimitive", "primitive"], default="semiprimitive")
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--with-alpha", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("table", help="closing table of exponents")
     p.add_argument("--set", dest="table_set", choices=["paper"], default="paper")

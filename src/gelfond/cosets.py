@@ -8,8 +8,7 @@ multiplicative order of 2 mod m.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Trial division is exact and fast up to this bound; larger inputs are refused.
 PRIMALITY_BOUND = 10**7
@@ -19,8 +18,7 @@ SEMIPRIMITIVE = "semiprimitive"
 NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class CosetDecomposition:
+class CosetDecomposition(NamedTuple):
     m: int
     cosets: tuple[tuple[int, ...], ...]
     representatives: tuple[int, ...]
@@ -30,12 +28,16 @@ class CosetDecomposition:
     ord2: int
 
 
-@dataclass(frozen=True)
-class PrimeClassification:
+class PrimeClassification(NamedTuple):
     p: int
     classification: str  # primitive | semiprimitive | neither
     ord2: int
     minus_one_solvable: bool
+
+
+def _odd_part(m: int) -> int:
+    """m with every factor 2 removed, for m >= 1."""
+    return m >> ((m & -m).bit_length() - 1)
 
 
 def _check_odd_modulus(m: int) -> None:
@@ -120,21 +122,18 @@ def classify_prime(p: int) -> PrimeClassification:
     return PrimeClassification(p=p, classification=cls, ord2=d, minus_one_solvable=minus_one)
 
 
-def scan_primes(limit: int, classification: str, threads: int = 1) -> list[int]:
+def scan_primes(limit: int, classification: str) -> list[int]:
     """Odd primes p <= limit whose classification matches, ascending."""
     if limit < 2:
         raise ValueError(f"scan limit must be >= 2, got {limit}")
     if classification not in (PRIMITIVE, SEMIPRIMITIVE, NEITHER):
         raise ValueError(f"unknown classification {classification!r}")
-    candidates = [p for p in range(3, limit + 1, 2) if is_prime(p)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(classify_prime, candidates))
-    else:
-        results = [classify_prime(p) for p in candidates]
-    return [c.p for c in results if c.classification == classification]
+    return [
+        p for p in range(3, limit + 1, 2)
+        if is_prime(p) and classify_prime(p).classification == classification
+    ]
 
 
-def scan_semiprimitive(limit: int, threads: int = 1) -> list[int]:
+def scan_semiprimitive(limit: int) -> list[int]:
     """All odd primes p <= limit for which 2 is a semiprimitive root."""
-    return scan_primes(limit, SEMIPRIMITIVE, threads=threads)
+    return scan_primes(limit, SEMIPRIMITIVE)

@@ -15,11 +15,9 @@ stay exact integers; only the fit and the envelope check work in floats.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cosets import multiplicative_order
+from .cosets import _odd_part, multiplicative_order
 from .exponent import LAMBDA
 from .sums import _check_query, _class_count, _levels, dyadic_sums
 
@@ -42,8 +40,7 @@ class BlockSup(NamedTuple):
     argmax_x: int
 
 
-@dataclass(frozen=True)
-class DyadicProfile:
+class DyadicProfile(NamedTuple):
     m: int
     a: int
     max_exp: int
@@ -51,16 +48,14 @@ class DyadicProfile:
     boundary_sums: tuple[int, ...]  # S(2^nu) for nu = 0 .. max_exp
 
 
-@dataclass(frozen=True)
-class EmpiricalFit:
+class EmpiricalFit(NamedTuple):
     exponent_estimate: float
     intercept: float
     residual: float  # rms residual of the least-squares line
     window: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class RemainderCheck:
+class RemainderCheck(NamedTuple):
     m: int
     a: int
     max_exp: int
@@ -70,8 +65,7 @@ class RemainderCheck:
     monotone_top: bool  # ratio strictly increasing over the last 5 blocks
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
+class EnvelopeReport(NamedTuple):
     m: int
     a: int
     alpha: float
@@ -269,9 +263,7 @@ def envelope_check(profile: DyadicProfile, alpha_value: float) -> EnvelopeReport
     if all(b.sup == 0 for b in blocks):
         raise ValueError("profile has no nonzero block sups")
     # quasi-period of the sup oscillation is the recurrence step h
-    odd = profile.m
-    while odd % 2 == 0:
-        odd //= 2
+    odd = _odd_part(profile.m)
     h = multiplicative_order(2, odd) if odd >= 3 else 1
     calib_end = max(profile.max_exp // 2, min(h + 2, profile.max_exp - 2))
     calib = [b for b in blocks if b.nu <= calib_end and b.sup > 0]
@@ -286,7 +278,9 @@ def envelope_check(profile: DyadicProfile, alpha_value: float) -> EnvelopeReport
         b for b in rest if b.sup > upper_c * (1 << b.nu) ** up * (1 + 1e-12)
     )
     low = alpha_value - 0.1
-    reference = statistics.median(b.sup / (1 << b.nu) ** low for b in calib)
+    ratios = sorted(b.sup / (1 << b.nu) ** low for b in calib)
+    mid = len(ratios) // 2  # the median, as statistics.median computes it
+    reference = ratios[mid] if len(ratios) % 2 else (ratios[mid - 1] + ratios[mid]) / 2
     margins = [b.sup / (1 << b.nu) ** low / reference for b in rest if b.sup > 0]
     best_margin = max(margins, default=0.0)
     return EnvelopeReport(

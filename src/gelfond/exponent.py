@@ -15,12 +15,12 @@ primitive or semiprimitive root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cosets import (
     PRIMITIVE,
     SEMIPRIMITIVE,
-    PrimeClassification,
+    _odd_part,
     classify_prime,
     cyclotomic_cosets,
     is_prime,
@@ -32,8 +32,7 @@ from .spectral import characteristic_roots
 LAMBDA = math.log(3) / math.log(4)
 
 
-@dataclass(frozen=True)
-class ExponentReport:
+class ExponentReport(NamedTuple):
     m: int
     per_rep: tuple[tuple[int, float], ...]
     alpha: float
@@ -60,13 +59,19 @@ def alpha_for_rep(m: int, l: int) -> float:
     return 1.0 + acc / (h * math.log(2))
 
 
+def _closed_prime(p: int) -> float:
+    """ln p / ((p-1) ln 2): alpha(p) for a prime p with 2 primitive or
+    semiprimitive, and the `scan --with-alpha` column."""
+    return math.log(p) / ((p - 1) * math.log(2))
+
+
 def _closed_form(m: int) -> float | None:
     if m % 3 == 0:
         return LAMBDA
     if m <= 10**7 and is_prime(m):
         cls = classify_prime(m)
         if cls.classification in (PRIMITIVE, SEMIPRIMITIVE):
-            return math.log(m) / ((m - 1) * math.log(2))
+            return _closed_prime(m)
     return None
 
 
@@ -119,7 +124,7 @@ def alpha_closed_prime(p: int) -> float:
         raise ArithmeticError(
             f"sine-product identity violated at p={p}: relative error {rel_err:.3e}"
         )
-    return math.log(p) / ((p - 1) * math.log(2))
+    return _closed_prime(p)
 
 
 def alpha_even(m: int) -> ExponentReport:
@@ -127,9 +132,7 @@ def alpha_even(m: int) -> ExponentReport:
     report on the odd part; a pure power of two has bounded partial sums."""
     if m < 2 or m % 2:
         raise ValueError(f"alpha_even needs an even modulus >= 2, got m={m}")
-    odd = m
-    while odd % 2 == 0:
-        odd //= 2
+    odd = _odd_part(m)
     if odd == 1:
         return ExponentReport(
             m=1,
@@ -142,16 +145,3 @@ def alpha_even(m: int) -> ExponentReport:
             bounded=True,
         )
     return alpha(odd)
-
-
-def artin_scan(limit: int) -> tuple[list[tuple[int, float]], float | None]:
-    """Diagnostic: (p, alpha(p)) over primes with 2 primitive, p <= limit,
-    plus the minimum alpha seen (drifts toward 0 as primes grow)."""
-    rows = []
-    for p in range(3, limit + 1, 2):
-        if not is_prime(p):
-            continue
-        cls: PrimeClassification = classify_prime(p)
-        if cls.classification == PRIMITIVE:
-            rows.append((p, math.log(p) / ((p - 1) * math.log(2))))
-    return rows, (min(a for _, a in rows) if rows else None)

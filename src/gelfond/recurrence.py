@@ -10,7 +10,7 @@ drive both
 for every offset n >= 0 and every positive multiplier u.  The coefficients
 are derived twice, independently: by expanding the root polynomial in
 complex arithmetic, and by solving the integer linear system the first
-identity induces at consecutive offsets, in exact rational arithmetic.
+identity induces at consecutive offsets, in exact integer arithmetic.
 verify_recurrence then checks both identities with exact integer sums;
 a passing report always has defect 0.
 """
@@ -18,8 +18,7 @@ a passing report always has defect 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .cosets import PRIMITIVE, CosetDecomposition, classify_prime, cyclotomic_cosets
 from .spectral import ResidualError, characteristic_roots
@@ -53,8 +52,7 @@ class RecurrenceDefectError(ArithmeticError):
     """An exact-integer recurrence check failed."""
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(NamedTuple):
     m: int
     r: int
     h: int
@@ -62,8 +60,7 @@ class RecurrenceSpec:
     residuals: tuple[float, ...]    # pre-rounding distance to the integer
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     m: int
     a: int
     depth: int
@@ -149,29 +146,36 @@ def coefficients_spectral(dec: CosetDecomposition) -> RecurrenceSpec:
     )
 
 
-def _solve_fraction_system(rows, rhs):
-    """Gauss-Jordan over exact Fractions; None if the matrix is singular."""
+def _solve_integer_system(rows, rhs):
+    """Fraction-free (Bareiss) Gauss-Jordan: (numerators, d) with solution
+    x_i = numerators[i] / d and d = +-det, or None if the matrix is singular.
+
+    Every entry stays an integer minor of [rows | rhs], so each division by
+    the previous pivot is exact.
+    """
     n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    prev = 1
     for col in range(n):
         pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
         if pivot is None:
             return None
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
+        top = aug[col]
+        p = top[col]
         for i in range(n):
-            if i != col and aug[i][col] != 0:
+            if i != col:
                 f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
+                aug[i] = [(p * v - f * w) // prev for v, w in zip(aug[i], top)]
+        prev = p
+    return [row[n] for row in aug], prev
 
 
 def coefficients_from_sums(m: int, a: int) -> RecurrenceSpec:
     """Recover c_1..c_r from exact S values at consecutive dyadic offsets.
 
     Builds the r x r system of the offset identity at n = n0 .. n0+r-1 and
-    solves it in exact rational arithmetic; offsets n0 = 0..5 are tried in
+    solves it exactly over the integers; offsets n0 = 0..5 are tried in
     turn when the matrix is singular.  Every system reads the one
     dyadic_sums pass up to the largest offset.
     """
@@ -186,18 +190,19 @@ def coefficients_from_sums(m: int, a: int) -> RecurrenceSpec:
             for n in range(n0, n0 + r)
         ]
         rhs = [-seq[n + r * h + 1] for n in range(n0, n0 + r)]
-        solution = _solve_fraction_system(rows, rhs)
+        solution = _solve_integer_system(rows, rhs)
         if solution is None:
             continue
-        if any(c.denominator != 1 for c in solution):
+        numerators, d = solution
+        if any(v % d for v in numerators):
             raise NonIntegerCoefficientError(
-                f"m={m}, a={a}, offset {n0}: non-integer solution {solution}"
+                f"m={m}, a={a}, offset {n0}: non-integer solution {numerators} / {d}"
             )
         return RecurrenceSpec(
             m=m,
             r=r,
             h=h,
-            coefficients=tuple(int(c) for c in solution),
+            coefficients=tuple(v // d for v in numerators),
             residuals=(0.0,) * r,
         )
     raise SingularSystemError(

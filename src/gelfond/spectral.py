@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cosets import CosetDecomposition
 from .modular import PRIME_BITS, crt_symmetric, split_primes
@@ -54,8 +54,7 @@ class ResidualError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class SpectralRoots:
+class SpectralRoots(NamedTuple):
     m: int
     h: int
     representatives: tuple[int, ...]

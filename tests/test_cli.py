@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -161,13 +164,82 @@ def test_explicit_cost_guard(capsys, monkeypatch):
         assert "predicted explicit-sum time" in err
 
 
-def test_import_loads_neither_numpy_nor_mpmath():
-    code = ("import sys, gelfond.cli; "
-            "print(sorted(k for k in ('numpy', 'mpmath') if k in sys.modules))")
+def run_fresh(*argv):
+    """stdout of a fresh interpreter run with this process's import path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, *argv], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+#: Modules a `gelfond` process must not load: each costs process start
+#: (dataclasses pulls in inspect, concurrent.futures pulls in logging,
+#: fractions pulls in decimal) for at most one caller off the hot path.
+HEAVY_MODULES = ("dataclasses", "inspect", "concurrent.futures", "logging",
+                 "statistics", "fractions", "decimal", "numpy", "mpmath")
+LAYERS = ("sums", "cosets", "spectral", "exponent", "recurrence", "empirical")
+
+
+def test_import_loads_neither_numpy_nor_mpmath():
+    added = run_fresh(
+        "-c",
+        "import sys; before = set(sys.modules); import gelfond.cli; "
+        "print('\\n'.join(sorted(set(sys.modules) - before)))",
+    ).split()
+    assert "gelfond.cli" in added
+    heavy = [k for k in added
+             if any(k == h or k.startswith(h + ".") for h in HEAVY_MODULES)]
+    assert heavy == []
+    # `import gelfond` alone still loads every layer (the benchmark tracer
+    # wraps them through sys.modules)
+    loaded = run_fresh(
+        "-c",
+        "import sys, gelfond; "
+        f"print(sorted(k for k in {LAYERS!r} if 'gelfond.' + k in sys.modules))",
+    )
+    assert loaded.strip() == str(sorted(LAYERS))
+    # counts and recurrence (its exact solve) run without them too, and
+    # counts still prints the exact "p/q" past the float range
+    x = 3**700
+    code = (
+        "import contextlib, io, json, sys, gelfond.cli\n"
+        "outs = []\n"
+        f"for argv in (['counts', '3', '2', '{x}'], ['recurrence', '17']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
+        "        gelfond.cli.main(argv)\n"
+        "    outs.append(json.loads(buf.getvalue())['result'])\n"
+        f"print(json.dumps([outs, [k for k in {HEAVY_MODULES!r} if k in sys.modules]]))"
+    )
+    (counts, recurrence), heavy = json.loads(run_fresh("-c", code))
+    assert counts["x_over_2m"] == f"{3**699}/2"
+    assert recurrence["methods_agree"] is True
+    assert heavy == []
+
+
+#: One small run of every subcommand: (argv, output format).
+MODULE_RUNS = [
+    (["cosets", "15"], "json"),
+    (["alpha", "17"], "json"),
+    (["sum", "5", "2", "1000", "--method", "all"], "json"),
+    (["counts", "3", "2", "16"], "json"),
+    (["recurrence", "7"], "json"),
+    (["classify", "7"], "json"),
+    (["--format", "csv", "scan", "--max", "100", "--with-alpha"], "csv"),
+    (["--format", "csv", "table"], "csv"),
+    (["empirical", "17", "3", "--max-exp", "12", "--csv"], "csv"),
+]
+
+
+def test_module_entry_point_runs_every_subcommand():
+    commands = {next(a for a in argv if a in cli._HANDLERS) for argv, _ in MODULE_RUNS}
+    assert commands == set(cli._HANDLERS)
+    for argv, form in MODULE_RUNS:
+        out = run_fresh("-m", "gelfond.cli", *argv)
+        if form == "json":
+            env = json.loads(out)
+            assert env["command"] == argv[0] and env["result"], argv
+        else:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert len(rows) > 1 and all(len(r) == len(rows[0]) for r in rows), argv
 
 
 def test_big_integers_serialize_as_strings(capsys):
@@ -236,10 +308,14 @@ def test_scan_command(capsys):
 
 def test_scan_with_alpha(capsys):
     env = run_json(capsys, "scan", "--class", "primitive", "--max", "29",
-                   "--with-alpha", "--threads", "2")
+                   "--with-alpha")
     assert env["result"]["primes"] == [3, 5, 11, 13, 19, 29]
     assert len(env["result"]["alphas"]) == 6
     assert env["result"]["min_alpha"] == min(env["result"]["alphas"])
+    # the classical primes below 70 with primitive root 2, and alpha(67) last
+    env = run_json(capsys, "scan", "--class", "primitive", "--max", "70", "--with-alpha")
+    assert env["result"]["primes"] == [3, 5, 11, 13, 19, 29, 37, 53, 59, 61, 67]
+    assert env["result"]["min_alpha"] == round(math.log(67) / (66 * math.log(2)), 8)
 
 
 def test_table_paper_truncation(capsys):

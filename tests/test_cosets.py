@@ -140,11 +140,6 @@ def test_scan_semiprimitive():
     assert scan_semiprimitive(50) == [7, 23, 47]
 
 
-def test_scan_threads_deterministic():
-    assert scan_semiprimitive(263, threads=4) == SEMIPRIMITIVE_TO_263
-    assert scan_primes(100, PRIMITIVE, threads=2) == scan_primes(100, PRIMITIVE)
-
-
 def test_scan_primitive_prefix():
     # classical list of primes with primitive root 2
     assert scan_primes(70, PRIMITIVE) == [3, 5, 11, 13, 19, 29, 37, 53, 59, 61, 67]

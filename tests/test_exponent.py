@@ -8,7 +8,6 @@ from gelfond import (
     alpha_closed_prime,
     alpha_even,
     alpha_for_rep,
-    artin_scan,
     cyclotomic_cosets,
 )
 
@@ -150,10 +149,3 @@ def test_alpha_matches_log2_v_sweep():
     for m in range(3, 100, 2):
         report = alpha(m)
         assert abs(report.alpha - report.log2_v) <= 1e-9, m
-
-
-def test_artin_scan_smoke():
-    rows, minimum = artin_scan(70)
-    assert [p for p, _ in rows] == PRIMITIVE_SAMPLE
-    assert minimum == pytest.approx(math.log(67) / (66 * math.log(2)))
-    assert all(a > 0 for _, a in rows)

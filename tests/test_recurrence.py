@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from gelfond import (
@@ -13,6 +16,7 @@ from gelfond import (
     simple_prime_c1,
     verify_recurrence,
 )
+from gelfond.recurrence import _solve_integer_system
 
 
 def test_coefficients_m17():
@@ -171,3 +175,43 @@ def test_from_sums_validation():
         coefficients_from_sums(15, 15)
     with pytest.raises(ValueError):
         coefficients_from_sums(8, 1)
+
+
+def _solve_fractions(rows, rhs):
+    """Reference: Gauss-Jordan over Fractions, None if singular."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for i in range(n):
+            if i != col:
+                f = aug[i][col]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
+    return [row[n] for row in aug]
+
+
+def test_integer_solver_equals_fraction_gauss_jordan():
+    rng = random.Random(7)
+    singular = 0
+    for n in range(1, 9):
+        for trial in range(40):
+            rows = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
+            if trial % 4 == 0 and n > 1:  # a dependent row
+                rows[-1] = [u - 2 * v for u, v in zip(rows[0], rows[1 % (n - 1)])]
+            if trial % 5 == 0:  # a zero leading column forces a row swap or singularity
+                for row in rows[: n // 2 + 1]:
+                    row[0] = 0
+            rhs = [rng.randint(-30, 30) for _ in range(n)]
+            expected = _solve_fractions(rows, rhs)
+            got = _solve_integer_system(rows, rhs)
+            if expected is None:
+                singular += 1
+                assert got is None
+            else:
+                numerators, d = got
+                assert [Fraction(v, d) for v in numerators] == expected
+    assert singular > 20
