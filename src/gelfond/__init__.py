@@ -53,7 +53,6 @@ from .recurrence import (
     verify_recurrence,
 )
 from .spectral import (
-    ResidualError,
     SpectralRoots,
     characteristic_roots,
     f_beta,
@@ -94,7 +93,6 @@ __all__ = [
     "RecurrenceDefectError",
     "RecurrenceSpec",
     "RemainderCheck",
-    "ResidualError",
     "SEMIPRIMITIVE",
     "SingularSystemError",
     "SpectralRoots",

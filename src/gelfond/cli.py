@@ -25,15 +25,22 @@ from .recurrence import (
     verify_recurrence,
 )
 from .spectral import explicit_cost_ns, newman_sum_explicit
-from .sums import ENUMERATION_CAP, newman_sum_dp, newman_sum_enumerate, parity_counts
+from .sums import (
+    ENUMERATION_CAP,
+    _check_query,
+    newman_sum_dp,
+    newman_sum_enumerate,
+    parity_counts,
+)
 
 SCHEMA_VERSION = "1"
 BIG_INT = 1 << 53
 
 #: Largest m * bit_length(x) that `sum` (dp, all) and `counts` accept.  The
 #: DP costs m * bit_length(x) additions of integers of at most bit_length(x)
-#: bits, with O(m) of them live.  At this bound a query took at most 1.7 s
-#: and 225 MiB (m = 2^23, 2-bit x) on a 2-CPU Xeon with Python 3.11.
+#: bits, with O(m) of them live.  At this bound a query took 1.7 s and
+#: 225 MiB at m = 2^23 with a 2-bit x, but 8.4 s at m = 1170 with a
+#: 4290-digit x, whose additions are wide, on a 2-CPU Xeon with Python 3.11.
 MAX_DP_WORK = 1 << 24
 #: Largest predicted profile time (empirical.profile_cost_ns) that `empirical`
 #: accepts.  Every max_exp <= 32 predicts at most 0.15 s for any m, so only
@@ -46,6 +53,10 @@ MAX_PROFILE_NS = 10**9
 #: `--method explicit` or `all` accepts.  At this bound, m = 17 with a
 #: 2381-bit x of all ones took 1.2-1.3 s on the same machine.
 MAX_EXPLICIT_NS = 10**9
+#: Largest `scan --max` accepted.  The scan's least-factor sieve takes
+#: O(limit) time and memory; at this bound a scan took 0.85-1.1 s and about
+#: 6 MiB on the same machine.
+MAX_SCAN_LIMIT = 10**6
 
 #: Moduli of the published closing table of exponents.
 PAPER_TABLE_MODULI = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -251,6 +262,8 @@ def _cmd_classify(args):
 
 
 def _cmd_scan(args):
+    if args.max > MAX_SCAN_LIMIT:
+        raise ValueError(f"scan limit {args.max} exceeds {MAX_SCAN_LIMIT}")
     primes = scan_primes(args.max, args.classification)
     result = {
         "class": args.classification,
@@ -278,6 +291,7 @@ def _cmd_table(args):
 
 
 def _cmd_empirical(args):
+    _check_query(args.m, args.a, 0)
     _check_profile_cost(args.m, args.max_exp)
     profile = emp.dyadic_profile(args.m, args.a, args.max_exp)
     odd = _odd_part(args.m)

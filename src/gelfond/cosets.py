@@ -8,7 +8,10 @@ multiplicative order of 2 mod m.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import NamedTuple
+
+from .modular import prime_factors
 
 #: Trial division is exact and fast up to this bound; larger inputs are refused.
 PRIMALITY_BOUND = 10**7
@@ -101,15 +104,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def classify_prime(p: int) -> PrimeClassification:
-    """Classify an odd prime by the behaviour of 2 in its unit group.
+def _classify(p: int, factors: list[int]) -> PrimeClassification:
+    """Classify the odd prime p, given the distinct prime factors of p - 1.
 
-    primitive: 2 generates the full group (ord = p-1);
-    semiprimitive: ord = (p-1)/2 and 2**x == -1 (mod p) has no solution.
+    ord_p(2) divides p - 1: strip each prime q from d = p - 1 while
+    2^(d/q) == 1 (mod p), which leaves the least such d.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"classify_prime needs an odd prime, got {p}")
-    d = multiplicative_order(2, p)
+    d = p - 1
+    for q in factors:
+        while d % q == 0 and pow(2, d // q, p) == 1:
+            d //= q
     # -1 lies in the orbit of 2 iff the orbit has even size and its unique
     # element of order 2, namely 2**(d/2), is -1.
     minus_one = d % 2 == 0 and pow(2, d // 2, p) == p - 1
@@ -122,16 +126,56 @@ def classify_prime(p: int) -> PrimeClassification:
     return PrimeClassification(p=p, classification=cls, ord2=d, minus_one_solvable=minus_one)
 
 
+def classify_prime(p: int) -> PrimeClassification:
+    """Classify an odd prime by the behaviour of 2 in its unit group.
+
+    primitive: 2 generates the full group (ord = p-1);
+    semiprimitive: ord = (p-1)/2 and 2**x == -1 (mod p) has no solution.
+    """
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"classify_prime needs an odd prime, got {p}")
+    return _classify(p, prime_factors(p - 1))
+
+
+def _least_factor_sieve(limit: int) -> array:
+    """spf[n] = the least prime factor of composite n <= limit, 0 for primes.
+
+    Each prime q <= sqrt(limit) marks its multiples from q^2 on, largest q
+    first, so the smallest prime factor is written last.
+    """
+    spf = array("I", [0]) * (limit + 1)
+    small = [q for q in range(2, math.isqrt(limit) + 1) if is_prime(q)]
+    for q in reversed(small):
+        spf[q * q :: q] = array("I", [q]) * len(range(q * q, limit + 1, q))
+    return spf
+
+
 def scan_primes(limit: int, classification: str) -> list[int]:
-    """Odd primes p <= limit whose classification matches, ascending."""
+    """Odd primes p <= limit whose classification matches, ascending.
+
+    One least-factor sieve up to limit gives both the primes and the prime
+    factors of each p - 1, so the scan costs O(limit log log limit) for the
+    sieve plus a few modular powers per prime.
+    """
     if limit < 2:
         raise ValueError(f"scan limit must be >= 2, got {limit}")
     if classification not in (PRIMITIVE, SEMIPRIMITIVE, NEITHER):
         raise ValueError(f"unknown classification {classification!r}")
-    return [
-        p for p in range(3, limit + 1, 2)
-        if is_prime(p) and classify_prime(p).classification == classification
-    ]
+    spf = _least_factor_sieve(limit)
+    out = []
+    for p in range(3, limit + 1, 2):
+        if spf[p]:
+            continue
+        factors = []
+        n = p - 1
+        while n > 1:
+            q = spf[n] or n
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        if _classify(p, factors).classification == classification:
+            out.append(p)
+    return out
 
 
 def scan_semiprimitive(limit: int) -> list[int]:

@@ -8,9 +8,10 @@ drive both
     S(m, a, 2^(r*h + 1) u)   + sum_q c_q S(m, a, 2^((r-q)*h + 1) u)   = 0
 
 for every offset n >= 0 and every positive multiplier u.  The coefficients
-are derived twice, independently: by expanding the root polynomial in
-complex arithmetic, and by solving the integer linear system the first
-identity induces at consecutive offsets, in exact integer arithmetic.
+are derived twice, independently: by expanding the root polynomial (in
+complex arithmetic where its rounding is safe, else exactly mod split
+primes), and by solving the integer linear system the first identity
+induces at consecutive offsets, in exact integer arithmetic.
 verify_recurrence then checks both identities with exact integer sums;
 a passing report always has defect 0.
 """
@@ -21,15 +22,9 @@ import math
 from typing import NamedTuple
 
 from .cosets import PRIMITIVE, CosetDecomposition, classify_prime, cyclotomic_cosets
-from .spectral import ResidualError, characteristic_roots
+from .modular import crt_symmetric, split_primes
+from .spectral import characteristic_roots
 from .sums import _sums_in_one_pass, dyadic_sums, newman_sum_dp
-
-#: Minimum decimal digits used by the extended-precision fallback (~166 bits);
-#: raised adaptively when the coefficients themselves are larger than that.
-MP_DPS = 50
-
-#: Absolute residual the extended-precision coefficients must meet to be rounded.
-MP_ABS_TOL = 1e-10
 
 #: Offsets tried for the sum-based linear system before reporting singularity.
 SYSTEM_OFFSETS = range(0, 6)
@@ -38,9 +33,10 @@ SYSTEM_OFFSETS = range(0, 6)
 class SingularSystemError(ArithmeticError):
     """The sum-based system was singular at every tried offset.
 
-    This genuinely happens when effective roots coincide (the sequence then
-    satisfies a lower-order recurrence, so every r x r window is rank
-    deficient); it is reported, never papered over.
+    This genuinely happens when effective roots coincide (m = 15), and when
+    the expansion of S(m, a, .) misses a root, as for (27, 26) and (127, 1):
+    either way the sequence satisfies a lower-order recurrence, so every
+    r x r window is rank deficient.  It is reported, never papered over.
     """
 
 
@@ -57,7 +53,7 @@ class RecurrenceSpec(NamedTuple):
     r: int
     h: int
     coefficients: tuple[int, ...]   # c_1 .. c_r
-    residuals: tuple[float, ...]    # pre-rounding distance to the integer
+    residuals: tuple[float, ...]    # pre-rounding distance to the integer; 0.0 if exact
 
 
 class VerificationReport(NamedTuple):
@@ -69,49 +65,47 @@ class VerificationReport(NamedTuple):
     max_defect: int  # 0 for a passing report
 
 
-def _poly_from_roots(roots):
+def _poly_from_roots(roots: list[complex]) -> list[complex]:
     """Monic polynomial coefficients [1, c_1, ..., c_r] from its roots."""
-    poly = [roots[0] * 0 + 1] if roots else [1]
+    poly = [1 + 0j]
     for root in roots:
-        nxt = [poly[0] * 0] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i] += c
-            nxt[i + 1] -= c * root
-        poly = nxt
+        poly = [c - root * d for c, d in zip([*poly, 0j], [0j, *poly])]
     return poly
 
 
-def _unit_table_mp(m: int) -> list:
-    import mpmath
+def _coefficients_modular(dec: CosetDecomposition) -> list[int]:
+    """c_1..c_r exactly: prod (z - Z_j) expanded mod split primes p == 1
+    (mod m), with Z_j == prod_{k<h} (1 - w^(l_j 2^k)) for w of order m in
+    F_p, and each c_i recovered by CRT.
 
-    return [mpmath.expjpi(mpmath.mpf(2 * t) / m) for t in range(m)]
-
-
-def _dps_for_bits(magnitude_bits: int) -> int:
-    """Working precision so that a value of the given bit size still carries
-    ~30 correct fractional digits."""
-    return max(MP_DPS, int(magnitude_bits * 0.302) + 30)
-
-
-def _effective_roots_mp(dec: CosetDecomposition):
-    import mpmath
-
-    table = _unit_table_mp(dec.m)
-    out = []
-    for coset, size in zip(dec.cosets, dec.sizes):
-        z = mpmath.mpc(1)
-        for t in coset:
-            z *= 1 - table[t]
-        out.append(z ** (dec.h // size))
-    return out
+    |c_i| <= C(r, i) 2^(h i) < 2^(r (h+1)), so primes whose product exceeds
+    2^(r (h+1) + 1) fix every c_i.
+    """
+    m, h = dec.m, dec.h
+    images = []
+    for p, w in split_primes(m, dec.r * (h + 1) + 1):
+        powers = [1] * m
+        for t in range(1, m):
+            powers[t] = powers[t - 1] * w % p
+        poly = [1]
+        for l in dec.representatives:
+            z, u = 1, l
+            for _ in range(h):
+                z = z * (1 - powers[u]) % p
+                u = 2 * u % m
+            poly = [(c - z * d) % p for c, d in zip([*poly, 0], [0, *poly])]
+        images.append((p, poly))
+    return [crt_symmetric((poly[i], p) for p, poly in images) for i in range(1, dec.r + 1)]
 
 
 def coefficients_spectral(dec: CosetDecomposition) -> RecurrenceSpec:
     """c_i = (-1)^i e_i(Z_1, ..., Z_r) by expanding prod (z - Z_j).
 
-    Machine arithmetic first; if any pre-rounding residual is suspicious for
-    the coefficient scale, the whole expansion is redone in extended
-    precision sized to the coefficient bound before giving up.
+    Complex doubles first, rounded to the nearest integers when every
+    pre-rounding residual is small for the coefficient scale.  Otherwise the
+    expansion is redone exactly mod split primes, and the residuals are
+    reported as 0.0.  The float route is the fast one for small m, where
+    the prime search would dominate.
     """
     spectrum = characteristic_roots(dec)
     tail = _poly_from_roots(list(spectrum.effective_roots))[1:]
@@ -121,28 +115,15 @@ def coefficients_spectral(dec: CosetDecomposition) -> RecurrenceSpec:
     residuals = (
         [abs(c - k) for c, k in zip(tail, coeffs)] if trustworthy else [math.inf]
     )
-    tol = min(0.01, 1e-6 * scale)
-    if max(residuals) > tol:
-        # |c_i| <= C(r, i) * 2^(h i) < 2^(r (h+1)), so this precision leaves
-        # plenty of correct fractional digits
-        import mpmath  # only this fallback needs it; importing it costs the CLI start
-
-        dps = _dps_for_bits(dec.r * (dec.h + 1) + 8)
-        with mpmath.workdps(dps):
-            tail_mp = _poly_from_roots(_effective_roots_mp(dec))[1:]
-            coeffs = [int(mpmath.nint(c.real)) for c in tail_mp]
-            residuals = [float(abs(c - k)) for c, k in zip(tail_mp, coeffs)]
-        if max(residuals) > MP_ABS_TOL:
-            raise ResidualError(
-                f"m={dec.m}: coefficient residual {max(residuals):.3e} at "
-                f"{dps} digits; coefficients may be genuinely non-integral"
-            )
+    if max(residuals) > min(0.01, 1e-6 * scale):
+        coeffs = _coefficients_modular(dec)
+        residuals = [0.0] * dec.r
     return RecurrenceSpec(
         m=dec.m,
         r=dec.r,
         h=dec.h,
         coefficients=tuple(coeffs),
-        residuals=tuple(float(x) for x in residuals),
+        residuals=tuple(residuals),
     )
 
 

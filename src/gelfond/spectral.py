@@ -46,14 +46,6 @@ CLUSTER_RTOL = 1e-8
 EXPLICIT_STEP_NS = 250
 
 
-class ResidualError(ArithmeticError):
-    """A value that must be an integer is not close enough to one.
-
-    Raised by recurrence.coefficients_spectral when its extended-precision
-    expansion of the root polynomial still misses integer coefficients.
-    """
-
-
 class SpectralRoots(NamedTuple):
     m: int
     h: int

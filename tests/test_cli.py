@@ -164,6 +164,38 @@ def test_explicit_cost_guard(capsys, monkeypatch):
         assert "predicted explicit-sum time" in err
 
 
+def test_empirical_validates_input_before_the_cost_model(capsys, monkeypatch):
+    def no_cost(*args):
+        raise AssertionError("the cost model must not run")
+
+    monkeypatch.setattr(cli.emp, "profile_cost_ns", no_cost)
+    for m, a in (("0", "0"), ("0", "5"), ("5", "5")):
+        code, out, err = run_cli(capsys, "empirical", m, a)
+        assert code == 2, (m, a)
+        assert out == ""
+        assert "must" in err
+
+
+def test_scan_limit_guard(capsys, monkeypatch):
+    # at the bound the sieve scan runs (about 1 s)
+    env = run_json(capsys, "scan", "--max", str(cli.MAX_SCAN_LIMIT))
+    primes = env["result"]["primes"]
+    assert env["result"]["count"] == len(primes) > 10**4
+    assert primes[:11] == [7, 23, 47, 71, 79, 103, 167, 191, 199, 239, 263]
+    assert primes[-1] <= cli.MAX_SCAN_LIMIT
+
+    def no_scan(*args):
+        raise AssertionError("the scan must not start")
+
+    monkeypatch.setattr(cli, "scan_primes", no_scan)
+    for argv in (("--max", str(cli.MAX_SCAN_LIMIT + 1)),
+                 ("--class", "primitive", "--max", str(10**9), "--with-alpha")):
+        code, out, err = run_cli(capsys, "scan", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "scan limit" in err
+
+
 def run_fresh(*argv):
     """stdout of a fresh interpreter run with this process's import path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -197,8 +229,9 @@ def test_import_loads_neither_numpy_nor_mpmath():
         f"print(sorted(k for k in {LAYERS!r} if 'gelfond.' + k in sys.modules))",
     )
     assert loaded.strip() == str(sorted(LAYERS))
-    # counts and recurrence (its exact solve) run without them too, and
-    # counts still prints the exact "p/q" past the float range
+    # counts, recurrence (its exact solve) and the exact spectral
+    # coefficients of m = 255 run without them too, and counts still prints
+    # the exact "p/q" past the float range
     x = 3**700
     code = (
         "import contextlib, io, json, sys, gelfond.cli\n"
@@ -207,6 +240,8 @@ def test_import_loads_neither_numpy_nor_mpmath():
         "    with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
         "        gelfond.cli.main(argv)\n"
         "    outs.append(json.loads(buf.getvalue())['result'])\n"
+        "from gelfond import coefficients_spectral, cyclotomic_cosets\n"
+        "coefficients_spectral(cyclotomic_cosets(255))\n"
         f"print(json.dumps([outs, [k for k in {HEAVY_MODULES!r} if k in sys.modules]]))"
     )
     (counts, recurrence), heavy = json.loads(run_fresh("-c", code))

@@ -15,6 +15,8 @@ from gelfond import (
 )
 from gelfond.cosets import PRIMALITY_BOUND
 
+CLASSES = (PRIMITIVE, SEMIPRIMITIVE, NEITHER)
+
 SEMIPRIMITIVE_TO_263 = [7, 23, 47, 71, 79, 103, 167, 191, 199, 239, 263]
 
 
@@ -156,3 +158,46 @@ def test_primality_bound_documented_and_enforced():
     assert is_prime(9999991)  # largest prime under the bound
     with pytest.raises(ValueError):
         is_prime(PRIMALITY_BOUND + 1)
+
+
+def _reference_class(p):
+    """The class of an odd prime from the O(p) multiplicative_order loop."""
+    d = multiplicative_order(2, p)
+    minus_one = d % 2 == 0 and pow(2, d // 2, p) == p - 1
+    if d == p - 1:
+        return PRIMITIVE
+    if 2 * d == p - 1 and not minus_one:
+        return SEMIPRIMITIVE
+    return NEITHER
+
+
+@pytest.fixture(scope="module")
+def reference_classes():
+    """(p, class) for the odd primes p <= 20000, by trial division and the
+    orbit walk."""
+    return [(p, _reference_class(p)) for p in range(3, 20001, 2) if is_prime(p)]
+
+
+def test_scan_equals_brute_force(reference_classes):
+    def expected(limit, cls):
+        return [p for p, c in reference_classes if p <= limit and c == cls]
+
+    # every limit up to 3000, the class cycling with it, covers each prime,
+    # each square of a sieving prime and the limits on either side of them
+    for limit in range(2, 3001):
+        cls = CLASSES[limit % 3]
+        assert scan_primes(limit, cls) == expected(limit, cls), (limit, cls)
+    for cls in CLASSES:
+        assert scan_primes(20000, cls) == expected(20000, cls), cls
+
+
+def test_classify_order_equals_orbit_walk(reference_classes):
+    for p, cls in reference_classes:
+        if p >= 5000:
+            break
+        c = classify_prime(p)
+        assert c.ord2 == multiplicative_order(2, p), p
+        assert c.classification == cls, p
+    # Fermat primes: p - 1 = 2^k, where only the factor 2 is stripped
+    assert classify_prime(257).ord2 == multiplicative_order(2, 257) == 16
+    assert classify_prime(65537).ord2 == multiplicative_order(2, 65537) == 32

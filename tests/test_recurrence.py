@@ -16,6 +16,7 @@ from gelfond import (
     simple_prime_c1,
     verify_recurrence,
 )
+from gelfond import recurrence
 from gelfond.recurrence import _solve_integer_system
 
 
@@ -149,6 +150,54 @@ def test_recurrence_root_ties_to_spectral_growth():
         roots = mpmath.polyroots([1, *spec.coefficients], maxsteps=500, extraprec=300)
         dominant = max(abs(z) for z in roots)
         assert dominant == pytest.approx(spectrum.v**spec.h, rel=1e-6), m
+
+
+def _mpmath_coefficients(dec):
+    """Reference c_1..c_r: prod (z - Z_j) expanded in mpmath at a precision
+    that leaves about 30 fractional digits below the bound 2^(r (h+1))."""
+    import mpmath
+
+    with mpmath.workdps(int((dec.r * (dec.h + 1) + 8) * 0.302) + 30):
+        poly = [mpmath.mpc(1)]
+        for coset, size in zip(dec.cosets, dec.sizes):
+            z = mpmath.mpc(1)
+            for t in coset:
+                z *= 1 - mpmath.expjpi(mpmath.mpf(2 * t) / dec.m)
+            z **= dec.h // size
+            poly = [c - z * d for c, d in zip([*poly, 0], [0, *poly])]
+        coeffs = tuple(int(mpmath.nint(c.real)) for c in poly[1:])
+        assert max(abs(c - k) for c, k in zip(poly[1:], coeffs)) < 1e-10
+    return coeffs
+
+
+@pytest.mark.parametrize("m", [77, 81, 255, 511])
+def test_exact_fallback_equals_mpmath_expansion(m, monkeypatch):
+    # the float residual test fails at these m, so the split primes run
+    used = []
+    split_primes = recurrence.split_primes
+    monkeypatch.setattr(recurrence, "split_primes",
+                        lambda *args: used.append(args) or split_primes(*args))
+    dec = cyclotomic_cosets(m)
+    spec = coefficients_spectral(dec)
+    # enough primes for |c_i| <= C(r, i) 2^(h i) < 2^(r (h+1))
+    assert used == [(m, dec.r * (dec.h + 1) + 1)]
+    assert spec.residuals == (0.0,) * dec.r
+    assert spec.coefficients == _mpmath_coefficients(dec)
+    for a in (0, 1, m - 1):
+        assert verify_recurrence(spec, a).max_defect == 0
+
+
+def test_small_moduli_keep_the_float_route(monkeypatch):
+    # the profiles of small m call coefficients_spectral, where a prime
+    # search would cost ten times the float expansion
+    def no_primes(*args):
+        raise AssertionError("the split-prime route must not run")
+
+    monkeypatch.setattr(recurrence, "split_primes", no_primes)
+    for m in (3, 5, 7, 9, 17, 19):
+        spec = coefficients_spectral(cyclotomic_cosets(m))
+        assert max(spec.residuals) < 1e-6, m
+        assert verify_recurrence(spec, 1, depth=2).max_defect == 0, m
 
 
 def test_simple_prime_c1_examples():
