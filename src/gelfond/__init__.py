@@ -3,9 +3,9 @@ coset spectrum of 2 mod m, the integer recurrences those sums satisfy, and
 the exact remainder exponent of Gelfond's digit theorem in the binary case.
 
 Every quantity is computable by at least two independent routes (direct
-enumeration, digit DP, character sums mod split primes, complex root
-products, exact integer linear algebra) and the test suite insists the
-routes agree exactly.
+enumeration, digit DP, character sums mod split primes, root products
+expanded mod split primes, exact integer linear algebra) and the test suite
+insists the routes agree exactly.
 """
 
 from .cosets import (

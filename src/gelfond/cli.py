@@ -223,7 +223,6 @@ def _cmd_recurrence(args):
         "r": spec.r,
         "h": spec.h,
         "coefficients": list(spec.coefficients),
-        "residuals": list(spec.residuals),
     }
     try:
         from_sums = coefficients_from_sums(args.m, args.a)
@@ -311,8 +310,11 @@ def _cmd_empirical(args):
         },
         "blocks": [[b.nu, b.sup, b.argmax_x] for b in profile.blocks],
     }
-    window = tuple(args.window) if args.window else None
-    if window or args.max_exp >= 4:
+    if args.window:
+        window = tuple(args.window)
+    else:
+        window = emp.default_window(args.max_exp, emp._first_nonzero_block(profile))
+    if args.window or window[1] - window[0] >= 3:  # a fit needs 4 blocks
         fit = emp.fit_exponent(profile, window)
         result["fit"] = {
             "exponent_estimate": fit.exponent_estimate,

@@ -77,14 +77,15 @@ def cyclotomic_cosets(m: int) -> CosetDecomposition:
             u = 2 * u % m
         cosets.append(tuple(orbit))
     sizes = tuple(len(c) for c in cosets)
+    h = math.lcm(*sizes)  # ord_m(2): 2^k fixes every t iff each orbit size divides k
     return CosetDecomposition(
         m=m,
         cosets=tuple(cosets),
         representatives=tuple(c[0] for c in cosets),
         sizes=sizes,
         r=len(cosets),
-        h=math.lcm(*sizes),
-        ord2=multiplicative_order(2, m),
+        h=h,
+        ord2=h,
     )
 
 

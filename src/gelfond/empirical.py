@@ -170,18 +170,29 @@ def dyadic_profile(m: int, a: int, max_exp: int) -> DyadicProfile:
     return DyadicProfile(m=m, a=a, max_exp=max_exp, blocks=blocks, boundary_sums=boundary)
 
 
-def default_window(max_exp: int) -> tuple[int, int]:
+def _first_nonzero_block(profile: DyadicProfile) -> int:
+    """The least nu whose block sup is nonzero, or max_exp + 1 if none is.
+
+    Blocks below the class's first member a hold only x <= a, where the
+    sum is empty, so their sup is 0.
+    """
+    return next((b.nu for b in profile.blocks if b.sup), profile.max_exp + 1)
+
+
+def default_window(max_exp: int, first: int = 1) -> tuple[int, int]:
     """Upper half of the blocks, excluding nu < 8 (early blocks bias the
-    slope); clamped so shallow profiles still yield the 4 blocks a fit needs."""
+    slope); clamped so shallow profiles still yield the 4 blocks a fit needs,
+    but never below `first`, the first block with a nonzero sup, so the
+    window may hold fewer than 4 blocks."""
     lo = max(8, max_exp // 2 + 1)
-    return max(1, min(lo, max_exp - 3)), max_exp
+    return max(first, min(lo, max_exp - 3)), max_exp
 
 
 def fit_exponent(profile: DyadicProfile, window: tuple[int, int] | None = None) -> EmpiricalFit:
     """Least-squares slope of log2(sup) against nu over the window, in closed
     form on the centred data; residual is the rms distance to the line."""
     if window is None:
-        window = default_window(profile.max_exp)
+        window = default_window(profile.max_exp, _first_nonzero_block(profile))
     lo, hi = window
     if not (1 <= lo <= hi <= profile.max_exp):
         raise ValueError(f"window {window} outside profile range 1..{profile.max_exp}")

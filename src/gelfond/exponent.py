@@ -18,8 +18,10 @@ import math
 from typing import NamedTuple
 
 from .cosets import (
+    PRIMALITY_BOUND,
     PRIMITIVE,
     SEMIPRIMITIVE,
+    _check_odd_modulus,
     _odd_part,
     classify_prime,
     cyclotomic_cosets,
@@ -46,8 +48,7 @@ class ExponentReport(NamedTuple):
 def alpha_for_rep(m: int, l: int) -> float:
     """The per-residue exponent; the sine arguments l*2^k are reduced mod m
     as integers, so no argument is ever spoiled for large k."""
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"modulus must be odd and >= 3, got m={m}")
+    _check_odd_modulus(m)
     if not 1 <= l <= m - 1:
         raise ValueError(f"representative must satisfy 1 <= l <= m-1, got {l}")
     h = multiplicative_order(2, m)
@@ -68,7 +69,7 @@ def _closed_prime(p: int) -> float:
 def _closed_form(m: int) -> float | None:
     if m % 3 == 0:
         return LAMBDA
-    if m <= 10**7 and is_prime(m):
+    if m <= PRIMALITY_BOUND and is_prime(m):
         cls = classify_prime(m)
         if cls.classification in (PRIMITIVE, SEMIPRIMITIVE):
             return _closed_prime(m)

@@ -4,7 +4,8 @@ A prime p == 1 (mod m) splits the m-th cyclotomic field completely, so F_p
 holds an element w of exact multiplicative order m.  Any integer identity
 that is a polynomial in e^{2 pi i/m} with integer coefficients then holds
 mod p with w in place of that root, and the integer itself is recovered
-exactly by CRT from enough such primes.
+exactly by CRT from enough such primes.  split_primes remembers the primes
+of each modulus for the life of the process, so each is searched for once.
 
 Primality is decided by Miller-Rabin on the 13 prime bases 2 .. 41, which
 has no strong pseudoprime below PSI_13 = 3317044064679887385961981
@@ -14,7 +15,7 @@ n < 2^62 used here.  Everything is stdlib integer arithmetic.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from math import gcd, prod
 
 #: The first 13 primes: the Miller-Rabin bases.
@@ -71,18 +72,34 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def split_primes(m: int, bits: int) -> Iterator[tuple[int, int]]:
+#: Per modulus m: the (p, w) pairs found so far, largest p first, and the
+#: k of the next candidate p = k m + 1.  Each extension is published as one
+#: new tuple, so a reader never sees a half-built entry; when two callers
+#: race to extend an entry the last write wins, which costs a repeated
+#: search but never a wrong pair.
+_FOUND: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
+
+
+def split_primes(m: int, bits: int) -> tuple[tuple[int, int], ...]:
     """Pairs (p, w): p prime, p == 1 (mod m), p < 2^62, w of order exactly m
     in F_p, largest p first, until the product of the p exceeds 2^bits.
 
-    Raises ValueError if the primes below 2^62 run out first.
+    The pairs are remembered per modulus for the life of the process: a
+    later call reads them back, and a call that needs more bits resumes the
+    search where the last one stopped.  Raises ValueError if the primes
+    below 2^62 run out first.
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got m={m}")
-    cofactors = [m // q for q in prime_factors(m)]
+    found, k = _FOUND.get(m, ((), ((1 << PRIME_BITS) - 2) // m))
+    limit = 1 << bits
     product = 1
-    k = ((1 << PRIME_BITS) - 2) // m
-    while product <= 1 << bits:
+    for n, (p, _) in enumerate(found):
+        product *= p
+        if product > limit:
+            return found[: n + 1]
+    cofactors = [m // q for q in prime_factors(m)]
+    while product <= limit:
         p = k * m + 1
         if p <= m:
             raise ValueError(f"fewer split primes below 2^{PRIME_BITS} for m={m} "
@@ -97,7 +114,17 @@ def split_primes(m: int, bits: int) -> Iterator[tuple[int, int]]:
                 break
             g += 1
         product *= p
-        yield p, w
+        found += ((p, w),)
+    _FOUND[m] = found, k
+    return found
+
+
+def power_table(w: int, m: int, p: int) -> list[int]:
+    """[w^0, w^1, ..., w^(m-1)] mod p."""
+    powers = [1] * m
+    for t in range(1, m):
+        powers[t] = powers[t - 1] * w % p
+    return powers
 
 
 def crt_symmetric(residues: Iterable[tuple[int, int]]) -> int:

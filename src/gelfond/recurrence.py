@@ -8,23 +8,20 @@ drive both
     S(m, a, 2^(r*h + 1) u)   + sum_q c_q S(m, a, 2^((r-q)*h + 1) u)   = 0
 
 for every offset n >= 0 and every positive multiplier u.  The coefficients
-are derived twice, independently: by expanding the root polynomial (in
-complex arithmetic where its rounding is safe, else exactly mod split
-primes), and by solving the integer linear system the first identity
-induces at consecutive offsets, in exact integer arithmetic.
+are derived twice, independently and in exact integer arithmetic: by
+expanding the root polynomial mod a product of split primes, and by solving
+the integer linear system the first identity induces at consecutive offsets.
 verify_recurrence then checks both identities with exact integer sums;
 a passing report always has defect 0.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .cosets import PRIMITIVE, CosetDecomposition, classify_prime, cyclotomic_cosets
-from .modular import crt_symmetric, split_primes
-from .spectral import characteristic_roots
-from .sums import _sums_in_one_pass, dyadic_sums, newman_sum_dp
+from .modular import crt_symmetric, power_table, split_primes
+from .sums import _check_query, _sums_in_one_pass, dyadic_sums, newman_sum_dp
 
 #: Offsets tried for the sum-based linear system before reporting singularity.
 SYSTEM_OFFSETS = range(0, 6)
@@ -52,8 +49,7 @@ class RecurrenceSpec(NamedTuple):
     m: int
     r: int
     h: int
-    coefficients: tuple[int, ...]   # c_1 .. c_r
-    residuals: tuple[float, ...]    # pre-rounding distance to the integer; 0.0 if exact
+    coefficients: tuple[int, ...]  # c_1 .. c_r
 
 
 class VerificationReport(NamedTuple):
@@ -65,66 +61,32 @@ class VerificationReport(NamedTuple):
     max_defect: int  # 0 for a passing report
 
 
-def _poly_from_roots(roots: list[complex]) -> list[complex]:
-    """Monic polynomial coefficients [1, c_1, ..., c_r] from its roots."""
-    poly = [1 + 0j]
-    for root in roots:
-        poly = [c - root * d for c, d in zip([*poly, 0j], [0j, *poly])]
-    return poly
-
-
-def _coefficients_modular(dec: CosetDecomposition) -> list[int]:
-    """c_1..c_r exactly: prod (z - Z_j) expanded mod split primes p == 1
-    (mod m), with Z_j == prod_{k<h} (1 - w^(l_j 2^k)) for w of order m in
-    F_p, and each c_i recovered by CRT.
-
-    |c_i| <= C(r, i) 2^(h i) < 2^(r (h+1)), so primes whose product exceeds
-    2^(r (h+1) + 1) fix every c_i.
-    """
-    m, h = dec.m, dec.h
-    images = []
-    for p, w in split_primes(m, dec.r * (h + 1) + 1):
-        powers = [1] * m
-        for t in range(1, m):
-            powers[t] = powers[t - 1] * w % p
-        poly = [1]
-        for l in dec.representatives:
-            z, u = 1, l
-            for _ in range(h):
-                z = z * (1 - powers[u]) % p
-                u = 2 * u % m
-            poly = [(c - z * d) % p for c, d in zip([*poly, 0], [0, *poly])]
-        images.append((p, poly))
-    return [crt_symmetric((poly[i], p) for p, poly in images) for i in range(1, dec.r + 1)]
-
-
 def coefficients_spectral(dec: CosetDecomposition) -> RecurrenceSpec:
-    """c_i = (-1)^i e_i(Z_1, ..., Z_r) by expanding prod (z - Z_j).
+    """c_i = (-1)^i e_i(Z_1, ..., Z_r), exactly, by expanding prod (z - Z_j)
+    mod the product M of split primes p == 1 (mod m).
 
-    Complex doubles first, rounded to the nearest integers when every
-    pre-rounding residual is small for the coefficient scale.  Otherwise the
-    expansion is redone exactly mod split primes, and the residuals are
-    reported as 0.0.  The float route is the fast one for small m, where
-    the prime search would dominate.
+    Z/M is the product of the fields F_p, so the CRT lift w of one element
+    of order m per F_p stands for e^{2 pi i/m} in all of them at once, and
+    Z_j == prod_{k<h} (1 - w^(l_j 2^k)) (mod M).  |c_i| <= C(r, i) 2^(h i)
+    < 2^(r (h+1)), so primes whose product exceeds 2^(r (h+1) + 1) make
+    the symmetric residue mod M the integer c_i.  split_primes remembers
+    the primes of each m, so only the first call for an m searches.
     """
-    spectrum = characteristic_roots(dec)
-    tail = _poly_from_roots(list(spectrum.effective_roots))[1:]
-    scale = max(1.0, max(abs(c) for c in tail))
-    trustworthy = math.isfinite(scale) and scale < 2.0**52
-    coeffs = [round(c.real) for c in tail] if trustworthy else [0] * len(tail)
-    residuals = (
-        [abs(c - k) for c, k in zip(tail, coeffs)] if trustworthy else [math.inf]
-    )
-    if max(residuals) > min(0.01, 1e-6 * scale):
-        coeffs = _coefficients_modular(dec)
-        residuals = [0.0] * dec.r
-    return RecurrenceSpec(
-        m=dec.m,
-        r=dec.r,
-        h=dec.h,
-        coefficients=tuple(coeffs),
-        residuals=tuple(residuals),
-    )
+    m, r, h = dec.m, dec.r, dec.h
+    primes = split_primes(m, r * (h + 1) + 1)
+    modulus = 1
+    for p, _ in primes:
+        modulus *= p
+    powers = power_table(crt_symmetric((w, p) for p, w in primes), m, modulus)
+    poly = [1]
+    for l in dec.representatives:
+        z, u = 1, l
+        for _ in range(h):
+            z = z * (1 - powers[u]) % modulus
+            u = 2 * u % m
+        poly = [(c - z * d) % modulus for c, d in zip([*poly, 0], [0, *poly])]
+    coefficients = tuple(c - modulus if 2 * c > modulus else c for c in poly[1:])
+    return RecurrenceSpec(m=m, r=r, h=h, coefficients=coefficients)
 
 
 def _solve_integer_system(rows, rhs):
@@ -161,8 +123,7 @@ def coefficients_from_sums(m: int, a: int) -> RecurrenceSpec:
     dyadic_sums pass up to the largest offset.
     """
     dec = cyclotomic_cosets(m)
-    if not 0 <= a < m:
-        raise ValueError(f"residue must satisfy 0 <= a < m, got a={a}, m={m}")
+    _check_query(m, a, 0)
     r, h = dec.r, dec.h
     seq = dyadic_sums(m, a, r * h + r + SYSTEM_OFFSETS[-1])
     for n0 in SYSTEM_OFFSETS:
@@ -184,7 +145,6 @@ def coefficients_from_sums(m: int, a: int) -> RecurrenceSpec:
             r=r,
             h=h,
             coefficients=tuple(v // d for v in numerators),
-            residuals=(0.0,) * r,
         )
     raise SingularSystemError(
         f"m={m}, a={a}: system singular at every offset in {list(SYSTEM_OFFSETS)}"
@@ -206,8 +166,7 @@ def verify_recurrence(
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     m, r, h = spec.m, spec.r, spec.h
-    if not 0 <= a < m:
-        raise ValueError(f"residue must satisfy 0 <= a < m, got a={a}, m={m}")
+    _check_query(m, a, 0)
     for u in multipliers:
         if u < 1:
             raise ValueError(f"multipliers must be positive, got {u}")
@@ -254,8 +213,7 @@ def simple_prime_c1(p: int, a: int) -> int:
     cls = classify_prime(p)
     if cls.classification != PRIMITIVE:
         raise ValueError(f"2 is not a primitive root of {p} (class {cls.classification})")
-    if not 0 <= a < p:
-        raise ValueError(f"residue must satisfy 0 <= a < p, got a={a}, p={p}")
+    _check_query(p, a, 0)
     u = 1 if a <= 1 else a
     sign = 1 if a.bit_count() & 1 else -1  # (-1)^(s(a)+1)
     return sign * newman_sum_dp(p, a, u << p)

@@ -33,8 +33,8 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .cosets import CosetDecomposition
-from .modular import PRIME_BITS, crt_symmetric, split_primes
+from .cosets import CosetDecomposition, _check_odd_modulus
+from .modular import PRIME_BITS, crt_symmetric, power_table, split_primes
 from .sums import _check_query
 
 #: Two effective roots closer than this (relatively) count as coincident.
@@ -85,8 +85,7 @@ def _bit_terms(m: int, n: int) -> dict[int, tuple[int, int]]:
 
 def f_beta(t: int, m: int, n: int) -> complex:
     """F_{t/m}(n) = sum_{k < n} (-1)^s(k) e^{2 pi i t k / m}, n >= 1."""
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got m={m}")
+    _check_query(m, 0, n)
     if n < 1:
         raise ValueError(f"f_beta needs n >= 1, got {n}")
     table = _unit_table(m)
@@ -110,9 +109,7 @@ def _character_sum_mod(m: int, a: int, terms: dict, top: int, p: int, w: int) ->
     All m values of t advance level by level together, so one step is one
     product mod p for each t.
     """
-    powers = [1] * m
-    for u in range(1, m):
-        powers[u] = powers[u - 1] * w % p
+    powers = power_table(w, m, p)
     factors = [1 - z for z in powers]   # 1 - w^(t 2^v) at level v, by t
     double = [2 * t % m for t in range(m)]
     prods = [1] * m                     # F_t(2^v) mod p
@@ -153,8 +150,7 @@ def explicit_cost_ns(m: int, x: int) -> int:
     are drawn from just below 2^PRIME_BITS, so each carries at least
     PRIME_BITS - 1 bits, which bounds their count.
     """
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got m={m}")
+    _check_query(m, 0, x)
     shift = (m & -m).bit_length() - 1
     m, x = m >> shift, x >> shift
     primes = _sum_bits(m, x) // (PRIME_BITS - 1) + 1
@@ -197,10 +193,8 @@ def newman_sum_pow2(m: int, a: int, nu: int) -> int:
     The t = 0 term vanishes exactly when nu >= 1, which is why nu = 0 is
     rejected.
     """
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"modulus must be odd and >= 3, got m={m}")
-    if not 0 <= a < m:
-        raise ValueError(f"residue must satisfy 0 <= a < m, got a={a}, m={m}")
+    _check_odd_modulus(m)
+    _check_query(m, a, 0)
     if nu < 1:
         raise ValueError(f"newman_sum_pow2 needs nu >= 1, got {nu}")
     return _explicit_odd(m, a, 1 << nu)

@@ -161,6 +161,5 @@ def reduce_even(m: int, a: int) -> tuple[int, int, int]:
     """
     if m < 2 or m % 2:
         raise ValueError(f"reduce_even needs an even modulus >= 2, got m={m}")
-    if not 0 <= a < m:
-        raise ValueError(f"residue must satisfy 0 <= a < m, got a={a}, m={m}")
+    _check_query(m, a, 0)
     return m // 2, a // 2, -1 if a & 1 else 1

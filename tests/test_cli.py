@@ -311,6 +311,7 @@ def test_recurrence_command(capsys):
     env = run_json(capsys, "recurrence", "17")
     result = env["result"]
     assert result["coefficients"] == [-34, 17]
+    assert "residuals" not in result
     assert result["from_sums"] == [-34, 17]
     assert result["methods_agree"] is True
     assert result["verification"]["max_defect"] == 0
@@ -381,6 +382,20 @@ def test_empirical_json(capsys):
     assert "exponent_estimate" in result["fit"]
     assert "max_ratio" in result["remainder"]
     assert result["envelope"]["upper_violations"] == []
+
+
+def test_empirical_shallow_profiles_skip_the_empty_blocks(capsys):
+    # blocks below the class's first member a have sup 0: the default window
+    # starts after them, and the fit is left out when under 4 blocks remain
+    for m, a, max_exp, window in (("5", "1", "4", None), ("7", "3", "4", None),
+                                  ("7", "3", "5", None), ("301", "300", "12", [9, 12])):
+        result = run_json(capsys, "empirical", m, a, "--max-exp", max_exp)["result"]
+        assert result["blocks"][0][1] == 0, (m, a)
+        assert result.get("fit", {}).get("window") == window, (m, a, max_exp)
+    # an explicit window still refuses zero sups
+    code, out, err = run_cli(capsys, "empirical", "7", "3", "--max-exp", "5",
+                             "--window", "1", "5")
+    assert code == 2 and "zero sups" in err
 
 
 def test_empirical_csv_profile(capsys):

@@ -167,6 +167,11 @@ def test_default_window():
     # clamped so the window always holds the 4 blocks a fit needs
     assert default_window(10) == (7, 10)
     assert default_window(4) == (1, 4)
+    # never below the first block with a nonzero sup, even if under 4 remain
+    assert default_window(12, first=9) == (9, 12)
+    assert default_window(10, first=3) == (7, 10)
+    assert default_window(5, first=3) == (3, 5)
+    assert default_window(4, first=5) == (5, 4)
 
 
 def test_fit_constant_profile_has_zero_slope():

@@ -1,7 +1,10 @@
 import random
+import sys
+import threading
 
 import pytest
 
+from gelfond import modular
 from gelfond.modular import (
     MR_BASES,
     PRIME_BITS,
@@ -79,6 +82,59 @@ def test_split_primes_carry_roots_of_exact_order(m):
         product *= p
     assert len({p for p, _ in pairs}) == len(pairs)
     assert product > 1 << bits >= product // pairs[-1][0]
+
+
+def test_split_primes_memo_extends_like_a_fresh_search(monkeypatch):
+    tested = []
+    probe = modular.miller_rabin
+    monkeypatch.setattr(modular, "miller_rabin", lambda n: tested.append(n) or probe(n))
+    monkeypatch.setattr(modular, "_FOUND", {})
+    short = split_primes(255, 100)
+    searched = len(tested)
+    assert split_primes(255, 60) == short[:1]  # a prefix, read back with no search
+    assert len(tested) == searched
+    extended = split_primes(255, 600)
+    # the extension resumed below the last prime found, testing none twice
+    assert extended[: len(short)] == short and len(extended) > len(short)
+    assert all(n < short[-1][0] for n in tested[searched:])
+    primes = [p for p, _ in extended]
+    assert primes == sorted(primes, reverse=True)
+    monkeypatch.setattr(modular, "_FOUND", {})
+    assert split_primes(255, 600) == extended
+
+
+def test_split_primes_memo_under_threads(monkeypatch):
+    # racing extensions may redo a search, but every caller must get the
+    # exact prefix a serial search gives
+    monkeypatch.setattr(modular, "_FOUND", {})
+    expected = {m: split_primes(m, 500) for m in (3, 31, 255)}
+    monkeypatch.setattr(modular, "_FOUND", {})
+    wrong = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(30):
+            m, bits = rng.choice((3, 31, 255)), rng.randrange(1, 500)
+            got = split_primes(m, bits)
+            product = 1
+            for p, _ in got:
+                product *= p
+            if got != expected[m][: len(got)] or not (
+                    product > 1 << bits >= product // got[-1][0]):
+                wrong.append((m, bits, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_crt_symmetric_recovers_signed_values():

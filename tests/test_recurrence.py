@@ -13,10 +13,11 @@ from gelfond import (
     cyclotomic_cosets,
     newman_sum_dp,
     newman_sum_enumerate,
+    newman_sum_explicit,
     simple_prime_c1,
     verify_recurrence,
 )
-from gelfond import recurrence
+from gelfond import modular, recurrence
 from gelfond.recurrence import _solve_integer_system
 
 
@@ -24,7 +25,6 @@ def test_coefficients_m17():
     spec = coefficients_spectral(cyclotomic_cosets(17))
     assert spec.coefficients == (-34, 17)
     assert spec.r == 2 and spec.h == 8
-    assert max(spec.residuals) < 1e-9
     assert coefficients_from_sums(17, 0).coefficients == (-34, 17)
 
 
@@ -45,13 +45,13 @@ def test_effective_roots_drive_m9():
     spec = coefficients_spectral(cyclotomic_cosets(9))
     assert spec.coefficients == (-30, 81)
     verify_recurrence(spec, 0, depth=6, multipliers=(1, 3))
-    wrong = RecurrenceSpec(m=9, r=2, h=6, coefficients=(-6, 9), residuals=(0.0, 0.0))
+    wrong = RecurrenceSpec(m=9, r=2, h=6, coefficients=(-6, 9))
     with pytest.raises(RecurrenceDefectError):
         verify_recurrence(wrong, 0, depth=3, multipliers=(1,))
 
 
 def test_verify_rejects_wrong_coefficients():
-    wrong = RecurrenceSpec(m=17, r=2, h=8, coefficients=(-34, 16), residuals=(0.0, 0.0))
+    wrong = RecurrenceSpec(m=17, r=2, h=8, coefficients=(-34, 16))
     with pytest.raises(RecurrenceDefectError):
         verify_recurrence(wrong, 0, depth=2, multipliers=(1,))
 
@@ -59,7 +59,7 @@ def test_verify_rejects_wrong_coefficients():
 def test_verify_checks_the_multiplier_identity_on_its_own():
     # fitted to the offset identity at n = 0, 1 only: it passes there and
     # must be caught by the multiplier identity at u = 3
-    fake = RecurrenceSpec(m=5, r=2, h=3, coefficients=(-10, 30), residuals=(0.0, 0.0))
+    fake = RecurrenceSpec(m=5, r=2, h=3, coefficients=(-10, 30))
     assert verify_recurrence(fake, 0, depth=1, multipliers=(1,)).checks == 3
     defect = sum(
         c * newman_sum_enumerate(5, 0, 3 << k) for c, k in ((1, 7), (-10, 4), (30, 1))
@@ -170,9 +170,9 @@ def _mpmath_coefficients(dec):
     return coeffs
 
 
-@pytest.mark.parametrize("m", [77, 81, 255, 511])
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 15, 17, 19, 21, 31, 63, 77, 81, 255, 511])
 def test_exact_fallback_equals_mpmath_expansion(m, monkeypatch):
-    # the float residual test fails at these m, so the split primes run
+    # the split-prime expansion is the only route, for small m as for large
     used = []
     split_primes = recurrence.split_primes
     monkeypatch.setattr(recurrence, "split_primes",
@@ -181,23 +181,26 @@ def test_exact_fallback_equals_mpmath_expansion(m, monkeypatch):
     spec = coefficients_spectral(dec)
     # enough primes for |c_i| <= C(r, i) 2^(h i) < 2^(r (h+1))
     assert used == [(m, dec.r * (dec.h + 1) + 1)]
-    assert spec.residuals == (0.0,) * dec.r
     assert spec.coefficients == _mpmath_coefficients(dec)
     for a in (0, 1, m - 1):
         assert verify_recurrence(spec, a).max_defect == 0
 
 
-def test_small_moduli_keep_the_float_route(monkeypatch):
-    # the profiles of small m call coefficients_spectral, where a prime
-    # search would cost ten times the float expansion
-    def no_primes(*args):
-        raise AssertionError("the split-prime route must not run")
+def test_second_call_reuses_the_split_primes(monkeypatch):
+    # the first calls search for the primes of each m; later calls for the
+    # same m must not run a single primality test
+    cases = [(m, a, 3 << 40) for m, a in ((5, 1), (17, 3), (77, 0), (255, 7))]
+    first = [(coefficients_spectral(cyclotomic_cosets(m)), newman_sum_explicit(m, a, x))
+             for m, a, x in cases]
 
-    monkeypatch.setattr(recurrence, "split_primes", no_primes)
-    for m in (3, 5, 7, 9, 17, 19):
-        spec = coefficients_spectral(cyclotomic_cosets(m))
-        assert max(spec.residuals) < 1e-6, m
-        assert verify_recurrence(spec, 1, depth=2).max_defect == 0, m
+    def no_search(n):
+        raise AssertionError(f"split primes searched again ({n})")
+
+    monkeypatch.setattr(modular, "miller_rabin", no_search)
+    again = [(coefficients_spectral(cyclotomic_cosets(m)), newman_sum_explicit(m, a, x))
+             for m, a, x in cases]
+    assert again == first
+    assert [s for _, s in again] == [newman_sum_dp(m, a, x) for m, a, x in cases]
 
 
 def test_simple_prime_c1_examples():

@@ -33,7 +33,7 @@ FIELDS = {
                      "log2_v", "bounded"),
     ParityCount: ("t_even", "t_odd"),
     PrimeClassification: ("p", "classification", "ord2", "minus_one_solvable"),
-    RecurrenceSpec: ("m", "r", "h", "coefficients", "residuals"),
+    RecurrenceSpec: ("m", "r", "h", "coefficients"),
     RemainderCheck: ("m", "a", "max_exp", "ratios", "max_ratio", "argmax_nu",
                      "monotone_top"),
     SpectralRoots: ("m", "h", "representatives", "roots", "effective_roots",
