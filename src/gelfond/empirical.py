@@ -226,14 +226,15 @@ def gelfond_remainder_check(m: int, a: int, max_exp: int) -> RemainderCheck:
 
     The numerator is computed exactly as |2m*t_even - x| / (2m), with
     t_even = (count + S(m, a, 2^nu)) / 2, the S read from one dyadic_sums
-    pass or, when it is cheaper (large m), from the class walk.  A ratio
+    pass (which runs on the odd part of m) or, when it is cheaper (large
+    odd part), from the class walk.  A ratio
     that keeps growing across the top blocks would contradict the remainder
     bound; that situation is flagged, not silently accepted.
     """
     _check_query(m, a, 1)
     if not 1 <= max_exp <= REMAINDER_MAX_EXP:
         raise ValueError(f"max_exp must be in [1, {REMAINDER_MAX_EXP}], got {max_exp}")
-    if DIGIT_CELL_NS * m * max_exp <= WALK_STEP_NS * _walk_steps(m, max_exp):
+    if DIGIT_CELL_NS * _odd_part(m) * max_exp <= WALK_STEP_NS * _walk_steps(m, max_exp):
         levels = dyadic_sums(m, a, max_exp)
     else:
         levels = _walk_profile(m, a, max_exp)[1]

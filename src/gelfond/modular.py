@@ -7,10 +7,10 @@ mod p with w in place of that root, and the integer itself is recovered
 exactly by CRT from enough such primes.  split_primes remembers the primes
 of each modulus for the life of the process, so each is searched for once.
 
-Primality is decided by Miller-Rabin on the 13 prime bases 2 .. 41, which
-has no strong pseudoprime below PSI_13 = 3317044064679887385961981
-(Sorenson and Webster, Math. Comp. 86, 2017), so it is exact for every
-n < 2^62 used here.  Everything is stdlib integer arithmetic.
+Primality is decided by Miller-Rabin on the seven bases of MR_BASES, which
+have no common strong pseudoprime below 2^64 (Sinclair 2011, checked
+against the Feitsma-Galway table of base-2 pseudoprimes), so it is exact
+for every n < 2^62 used here.  Everything is stdlib integer arithmetic.
 """
 
 from __future__ import annotations
@@ -18,26 +18,31 @@ from __future__ import annotations
 from collections.abc import Iterable
 from math import gcd, prod
 
-#: The first 13 primes: the Miller-Rabin bases.
-MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: Miller-Rabin bases with no common strong pseudoprime below MR_LIMIT.
+MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
-#: Least strong pseudoprime to every base in MR_BASES.
-PSI_13 = 3317044064679887385961981
+#: Miller-Rabin on MR_BASES decides primality exactly below this bound.
+MR_LIMIT = 1 << 64
 
 #: Split primes are drawn from below 2^PRIME_BITS, largest first.
 PRIME_BITS = 62
 
-#: Product of the primes below 100: one gcd discards most composite candidates.
-_SMALL_PRODUCT = prod((*MR_BASES, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97))
+#: The primes below 100, tried as divisors before any strong test.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+#: Their product: one gcd discards most composite candidates.
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
 
 
 def miller_rabin(n: int) -> bool:
-    """Deterministic primality of n < PSI_13 by strong tests to MR_BASES."""
-    if n >= PSI_13:
-        raise ValueError(f"n={n} is beyond the deterministic range n < {PSI_13}")
+    """Deterministic primality of n < MR_LIMIT by strong tests to MR_BASES.
+    A base divisible by n says nothing about n and is skipped."""
+    if n >= MR_LIMIT:
+        raise ValueError(f"n={n} is beyond the deterministic range n < 2^64")
     if n < 2:
         return False
-    for q in MR_BASES:
+    for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
@@ -45,6 +50,9 @@ def miller_rabin(n: int) -> bool:
         d //= 2
         s += 1
     for base in MR_BASES:
+        base %= n
+        if base == 0:
+            continue
         y = pow(base, d, n)
         if y == 1 or y == n - 1:
             continue

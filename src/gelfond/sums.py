@@ -8,11 +8,14 @@ where s(n) is the number of 1-bits of n.  Two independent evaluators are
 provided: direct enumeration (the oracle, capped) and a signed digit DP over
 the binary expansion of x.  Everything here is exact integer arithmetic.
 
-The DP scans the bits of x least significant first and keeps one list of m
-signed class sums, so S(m, a, x) costs O(m log x) integer additions with
-O(m) live integers of at most log x bits.  Level n of that pass is
-S(m, a, 2^n), so dyadic_sums returns every S(m, a, 2^n), n <= N, from one
-pass, and parity_counts is (count +- S) / 2 with the exact class count.
+An even modulus is first folded to its odd part m' = m >> v2(m) by the
+exact halving identity S(2m', a, 2x') = (-1)^a S(m', a//2, x') of
+reduce_even.  The DP then scans the bits of x least significant first and
+keeps one list of m' signed class sums, so S(m, a, x) costs O(m' log x)
+integer additions with O(m') live integers of at most log x bits.  Level n
+of that pass is S(m', a', 2^n), so dyadic_sums returns every S(m, a, 2^n),
+n <= N, from one pass, and parity_counts is (count +- S) / 2 with the exact
+class count of the original m.
 """
 
 from __future__ import annotations
@@ -111,32 +114,56 @@ def _block_terms(m: int, a: int, x: int) -> list[tuple[int, int, int]]:
 
 
 def _sums_in_one_pass(m: int, a: int, xs: list[int]) -> list[int]:
-    """[S(m, a, x) for x in xs] from a single pass of the signed DP."""
+    """[S(m, a, x) for x in xs] from a single pass of the signed DP.
+
+    An even modulus is first folded to its odd part by the identity of
+    reduce_even: an odd x peels its last term n = x - 1, then x -> x >> 1,
+    so the pass runs over m >> v2(m) classes and log x - v2(m) levels.
+    """
+    out = [0] * len(xs)
+    sign = 1
+    while not m & 1:
+        for j, x in enumerate(xs):
+            if x & 1 and (x - 1) % m == a:
+                out[j] += sign * (1 - (((x - 1).bit_count() & 1) << 1))
+        xs = [x >> 1 for x in xs]
+        if a & 1:
+            sign = -sign
+        m, a = m >> 1, a >> 1
     top = max((x.bit_length() for x in xs), default=0)
     wanted = [[] for _ in range(top)]
     for j, x in enumerate(xs):
-        for i, c, sign in _block_terms(m, a, x):
-            wanted[i].append((j, c, sign))
-    out = [0] * len(xs)
+        for i, c, s in _block_terms(m, a, x):
+            wanted[i].append((j, c, sign * s))
     for terms, d in zip(wanted, _levels(m)):
-        for j, c, sign in terms:
-            out[j] += sign * d[c]
+        for j, c, s in terms:
+            out[j] += s * d[c]
     return out
 
 
 def newman_sum_dp(m: int, a: int, x: int) -> int:
-    """S(m, a, x) by the signed digit DP: O(m log x) integer additions, O(m)
-    live integers of at most log x bits."""
+    """S(m, a, x) by the signed digit DP: O(m' log x) integer additions,
+    O(m') live integers of at most log x bits, with m' the odd part of m."""
     _check_query(m, a, x)
     return _sums_in_one_pass(m, a, [x])[0]
 
 
 def dyadic_sums(m: int, a: int, n_max: int) -> list[int]:
-    """[S(m, a, 2^n) for n = 0 .. n_max]: level n of one signed-DP pass."""
+    """[S(m, a, 2^n) for n = 0 .. n_max]: level n of one signed-DP pass.
+
+    An even m gives [S(m, a, 1)] + sign * dyadic_sums(m/2, a//2, n_max - 1)
+    by reduce_even, so the pass runs on the odd part of m.
+    """
     _check_query(m, a, 0)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return [d[a] for _, d in zip(range(n_max + 1), _levels(m))]
+    head, sign = [], 1
+    while not m & 1 and len(head) <= n_max:
+        head.append(sign if a == 0 else 0)  # S(m, a, 1)
+        if a & 1:
+            sign = -sign
+        m, a = m >> 1, a >> 1
+    return head + [sign * d[a] for _, d in zip(range(n_max + 1 - len(head)), _levels(m))]
 
 
 def _class_count(m: int, a: int, x: int) -> int:

@@ -3,13 +3,16 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import gelfond.cli as cli
-from gelfond import newman_sum_dp, newman_sum_enumerate
+from gelfond import newman_sum_dp, newman_sum_enumerate, newman_sum_explicit, parity_counts
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +115,32 @@ def test_dp_work_guard_refuses_before_any_dp(capsys, monkeypatch):
         assert code == 2, argv
         assert out == ""
         assert "digit-DP limit" in err
+
+
+def test_dp_work_guard_counts_the_folded_cells(capsys):
+    # the DP runs on the odd part of m with x >> v2(m): 2^20 * 100 cells by
+    # the unfolded count, 1 * 80 folded, so this query is no longer refused
+    m, x = 1 << 20, (1 << 99) + 12345
+    assert m * x.bit_length() > cli.MAX_DP_WORK
+    env = run_json(capsys, "counts", str(m), "5", str(x))
+    t_even, t_odd = parity_counts(m, 5, x)
+    assert (int(env["result"]["t_even"]), int(env["result"]["t_odd"])) == (t_even, t_odd)
+    assert t_even + t_odd == (x - 5 + m - 1) // m
+    env = run_json(capsys, "sum", str(3 << 20), "5", str(x), "--method", "dp")
+    assert int(env["result"]["value"]) == newman_sum_explicit(3 << 20, 5, x)
+    # the folded count still refuses an odd part that is too large
+    code, out, err = run_cli(capsys, "sum", str(10007 << 3), "5", str(3**5000), "--method", "dp")
+    assert code == 2 and out == "" and "digit-DP limit" in err
+
+
+def test_sum_all_folds_an_even_modulus_past_the_enumeration_cap(capsys):
+    x = (1 << 40) + 12345
+    for m, a in ((96, 37), (1000, 999), (1 << 12, 5)):
+        env = run_json(capsys, "sum", str(m), str(a), str(x), "--method", "all")
+        result = env["result"]
+        assert result["skipped"] == ["enumerate"]
+        assert result["methods"]["dp"] == result["methods"]["explicit"] == result["value"]
+        assert result["value"] == newman_sum_dp(m, a, x)
 
 
 def test_profile_cost_guard(capsys, monkeypatch):
@@ -275,6 +304,30 @@ def test_module_entry_point_runs_every_subcommand():
         else:
             rows = list(csv.reader(io.StringIO(out)))
             assert len(rows) > 1 and all(len(r) == len(rows[0]) for r in rows), argv
+
+
+def readme_usage_commands():
+    """The `gelfond ...` lines of README's usage block, as argument lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```\n(gelfond .*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1, "README should hold one block of gelfond commands"
+    return [shlex.split(line, comments=True) for line in blocks[0].splitlines()]
+
+
+def test_readme_usage_commands_run(capsys):
+    commands = readme_usage_commands()
+    assert {argv[1] for argv in commands} == set(cli._HANDLERS)
+    for argv in commands:
+        assert argv[0] == "gelfond", argv
+        code, out, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (argv, err)
+        if "--csv" in argv or "csv" in argv:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert len(rows) > 1 and all(len(r) == len(rows[0]) for r in rows), argv
+        else:
+            env = json.loads(out)
+            assert list(env) == ["schema_version", "command", "inputs", "result", "timing_ms"]
+            assert env["command"] == argv[1] and env["result"], argv
 
 
 def test_big_integers_serialize_as_strings(capsys):

@@ -114,13 +114,16 @@ def test_large_m_profile_walks_the_class(monkeypatch):
 
 
 def test_large_m_remainder_check_walks_the_class(monkeypatch):
-    # m * 28 digit-DP cells cost more than the 2^28 / m class members here
-    def no_dp(*args):
-        raise AssertionError("the digit DP must not run")
+    # m' * 28 digit-DP cells, m' the odd part of m, cost more than the
+    # 2^28 / m class members for the first three; 3 * 2^19 folds to m' = 3
+    def fails(*args):
+        raise AssertionError("this route must not run")
 
-    monkeypatch.setattr(empirical, "dyadic_sums", no_dp)
-    for m, a in ((7919, 5), (600000, 1), (1572864, 0)):
-        report = gelfond_remainder_check(m, a, 28)
+    for m, a, skipped in ((7919, 5, "dyadic_sums"), (600000, 1, "dyadic_sums"),
+                          (1572863, 0, "dyadic_sums"), (1572864, 0, "_walk_profile")):
+        with monkeypatch.context() as patch:
+            patch.setattr(empirical, skipped, fails)
+            report = gelfond_remainder_check(m, a, 28)
         for nu, ratio in enumerate(report.ratios, start=1):
             x = 1 << nu
             s = newman_sum_enumerate(m, a, x, cap=x)

@@ -7,8 +7,8 @@ import pytest
 from gelfond import modular
 from gelfond.modular import (
     MR_BASES,
+    MR_LIMIT,
     PRIME_BITS,
-    PSI_13,
     crt_symmetric,
     miller_rabin,
     prime_factors,
@@ -47,16 +47,25 @@ def test_miller_rabin_agrees_with_sieve():
 
 
 def test_miller_rabin_rejects_strong_pseudoprimes():
-    # strong pseudoprimes to the first 4, 9 and 12 prime bases
-    for n, fooled in ((3215031751, 4), (3825123056546413051, 9),
-                      (318665857834031151167461, 12)):
-        assert all(strong_probable_prime(n, b) for b in MR_BASES[:fooled]), n
+    # strong pseudoprimes to the first 4 and the first 9 prime bases
+    prime_bases = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    for n, fooled in ((3215031751, 4), (3825123056546413051, 9)):
+        assert all(strong_probable_prime(n, b) for b in prime_bases[:fooled]), n
         assert not miller_rabin(n), n
-    # only base 41 exposes the last one
-    assert not strong_probable_prime(318665857834031151167461, 41)
     assert miller_rabin((1 << 61) - 1)
+    assert MR_LIMIT == 1 << 64
     with pytest.raises(ValueError):
-        miller_rabin(PSI_13)
+        miller_rabin(1 << 64)
+
+
+def test_miller_rabin_skips_bases_divisible_by_n():
+    # 407521 divides the base 9780504 and 299210837 divides 1795265022:
+    # a strong test to a base == 0 (mod n) would call these primes composite
+    for base in MR_BASES:
+        for q in prime_factors(base):
+            assert miller_rabin(q), (base, q)
+    assert 9780504 % 407521 == 0 and miller_rabin(407521)
+    assert 1795265022 % 299210837 == 0 and miller_rabin(299210837)
 
 
 def test_prime_factors():

@@ -14,8 +14,24 @@ from gelfond import (
     newman_sum_dp,
     newman_sum_enumerate,
     parity_counts,
+    newman_sum_explicit,
     reduce_even,
 )
+from gelfond.sums import _block_terms, _levels
+
+
+def unfolded_sums(m, a, xs):
+    """[S(m, a, x) for x in xs] from one pass over the levels of _levels(m)
+    itself, with no halving of an even m: the reference for the fold."""
+    wanted = [[] for _ in range(max(x.bit_length() for x in xs))]
+    for j, x in enumerate(xs):
+        for i, c, sign in _block_terms(m, a, x):
+            wanted[i].append((j, c, sign))
+    out = [0] * len(xs)
+    for terms, d in zip(wanted, _levels(m)):
+        for j, c, sign in terms:
+            out[j] += sign * d[c]
+    return out
 
 
 def brute_sum(m, a, x):
@@ -135,6 +151,44 @@ def test_dyadic_sums_are_the_dp_at_powers_of_two():
         dyadic_sums(7, 3, -1)
     with pytest.raises(ValueError):
         dyadic_sums(7, 7, 4)
+
+
+def test_folded_dp_equals_enumerate_for_every_even_modulus():
+    rng = random.Random(11)
+    for m in range(2, 65, 2):
+        for a in range(m):
+            xs = [0, 1, a, a + 1]
+            xs += [2 * rng.randrange(2500) for _ in range(3)]
+            xs += [2 * rng.randrange(2500) + 1 for _ in range(3)]
+            for x in xs:
+                assert newman_sum_dp(m, a, x) == newman_sum_enumerate(m, a, x), (m, a, x)
+            t_even, t_odd = parity_counts(m, a, xs[-1])
+            assert t_even + t_odd == len(range(a, xs[-1], m))
+            assert t_even - t_odd == newman_sum_enumerate(m, a, xs[-1])
+
+
+@pytest.mark.parametrize("m", [1000, 1024, 3 << 10, 4008])
+def test_folded_dp_equals_unfolded_pass(m):
+    rng = random.Random(m)
+    a = rng.randrange(m)
+    top = rng.getrandbits(1000) | 1 << 999
+    xs = [top & ~1, top | 1]
+    assert [newman_sum_dp(m, a, x) for x in xs] == unfolded_sums(m, a, xs)
+    assert dyadic_sums(m, a, 1000) == unfolded_sums(m, a, [1 << n for n in range(1001)])
+    # n_max below v2(m): every level comes from the halving steps alone
+    assert dyadic_sums(m, a, 2) == unfolded_sums(m, a, [1, 2, 4])
+
+
+def test_folded_dp_at_a_large_power_of_two_factor():
+    # the unfolded pass over 3 * 2^20 classes is out of reach; the explicit
+    # route folds the modulus in its own loop and sums characters mod primes
+    m = 3 << 20
+    rng = random.Random(12)
+    for a in (0, 5, m - 1, rng.randrange(m)):
+        top = rng.getrandbits(1000) | 1 << 999
+        for x in (top & ~1, top | 1):
+            assert newman_sum_dp(m, a, x) == newman_sum_explicit(m, a, x), (a, x)
+    assert dyadic_sums(m, 5, 40) == [newman_sum_explicit(m, 5, 1 << n) for n in range(41)]
 
 
 def test_dp_memory_is_linear_in_m():
