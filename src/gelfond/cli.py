@@ -45,9 +45,9 @@ BIG_INT = 1 << 53
 #: with a 2-bit x, on a 2-CPU Xeon with Python 3.11.
 MAX_DP_WORK = 1 << 24
 #: Largest predicted profile time (empirical.profile_cost_ns) that `empirical`
-#: accepts.  Every max_exp <= 32 predicts at most 0.15 s for any m, so only
+#: accepts.  Every max_exp <= 32 predicts at most 0.12 s for any m, so only
 #: deeper profiles of larger m are refused.  At this bound a run took at most
-#: 1.3 s and 30 MiB (m = 3906 at max_exp = 256, m = 25000 at max_exp = 40) on
+#: 1.1 s and 25 MiB (m = 6510 at max_exp = 256, m = 41666 at max_exp = 40) on
 #: the same machine; the remainder scan picks its cheaper route too and stays
 #: under 0.02 s for every m.
 MAX_PROFILE_NS = 10**9
@@ -389,87 +389,134 @@ def _emit_csv(header, rows, precision):
 # ------------------------------------------------------------------ driver
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gelfond",
-        description="Newman-like digit sums, coset spectra, recurrences, "
-        "and exact remainder exponents.",
-    )
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument("--precision", type=int, default=8,
-                        help="decimal digits for real numbers (default 8)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cosets", help="cyclotomic cosets of 2 mod m")
-    p.add_argument("m", type=int)
-    p.add_argument("--all-elements", action="store_true")
-
-    p = sub.add_parser("alpha", help="exact remainder exponent alpha(m)")
-    p.add_argument("m", type=int)
-    p.add_argument("--per-rep", action="store_true")
-    p.add_argument("--full-range", action="store_true",
-                   help="also maximize over every l in [1, m-1] and cross-check")
-    p.add_argument("--closed-form", action="store_true")
-
-    p = sub.add_parser("sum", help="Newman-like sum S(m, a, x)")
-    p.add_argument("m", type=int)
-    p.add_argument("a", type=int)
-    p.add_argument("x", type=int)
-    p.add_argument("--method", choices=["enumerate", "dp", "explicit", "all"],
-                   default="dp")
-
-    p = sub.add_parser("counts", help="digit-sum parity counts in the class")
-    p.add_argument("m", type=int)
-    p.add_argument("a", type=int)
-    p.add_argument("x", type=int)
-
-    p = sub.add_parser("recurrence", help="integer recurrence coefficients + check")
-    p.add_argument("m", type=int)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--multipliers", type=lambda s: [int(v) for v in s.split(",")],
-                   default=[1, 3, 5])
-    p.add_argument("--a", type=int, default=0)
-
-    p = sub.add_parser("classify", help="primitive/semiprimitive root status of 2")
-    p.add_argument("p", type=int)
-
-    p = sub.add_parser("scan", help="scan primes by root classification")
-    p.add_argument("--class", dest="classification",
-                   choices=["semiprimitive", "primitive"], default="semiprimitive")
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--with-alpha", action="store_true")
-
-    p = sub.add_parser("table", help="closing table of exponents")
-    p.add_argument("--set", dest="table_set", choices=["paper"], default="paper")
-    p.add_argument("--compare-mode", choices=["truncate", "round"], default="truncate")
-
-    p = sub.add_parser("empirical", help="dyadic sup profile, fit, remainder scan")
-    p.add_argument("m", type=int)
-    p.add_argument("a", type=int)
-    p.add_argument("--max-exp", type=int, default=20)
-    p.add_argument("--window", type=int, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--csv", action="store_true", help="emit the profile as CSV")
-    return parser
+def _int(text: str) -> int:
+    """int(text) for a numeric argument.  A decimal longer than the interpreter
+    converts (sys.get_int_max_str_digits(), absent before Python 3.10.7) is
+    refused by its digit count, without echoing it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(text) > limit:
+        digits = sum(ch.isdigit() for ch in text)
+        if digits > limit:
+            raise argparse.ArgumentTypeError(
+                f"{digits}-digit integer exceeds the limit of {limit} digits"
+            )
+    return int(text)
 
 
-_HANDLERS = {
-    "cosets": _cmd_cosets,
-    "alpha": _cmd_alpha,
-    "sum": _cmd_sum,
-    "counts": _cmd_counts,
-    "recurrence": _cmd_recurrence,
-    "classify": _cmd_classify,
-    "scan": _cmd_scan,
-    "table": _cmd_table,
-    "empirical": _cmd_empirical,
+_int.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+
+_M = (("m",), {"type": _int})
+_A = (("a",), {"type": _int})
+_X = (("x",), {"type": _int})
+
+#: Every subcommand: its handler, its one-line help and its arguments as
+#: (names, options) pairs for add_argument.
+_COMMANDS = {
+    "cosets": (_cmd_cosets, "cyclotomic cosets of 2 mod m", [
+        _M,
+        (("--all-elements",), {"action": "store_true"}),
+    ]),
+    "alpha": (_cmd_alpha, "exact remainder exponent alpha(m)", [
+        _M,
+        (("--per-rep",), {"action": "store_true"}),
+        (("--full-range",), {"action": "store_true", "help":
+                             "also maximize over every l in [1, m-1] and cross-check"}),
+        (("--closed-form",), {"action": "store_true"}),
+    ]),
+    "sum": (_cmd_sum, "Newman-like sum S(m, a, x)", [
+        _M, _A, _X,
+        (("--method",), {"choices": ["enumerate", "dp", "explicit", "all"],
+                         "default": "dp"}),
+    ]),
+    "counts": (_cmd_counts, "digit-sum parity counts in the class", [_M, _A, _X]),
+    "recurrence": (_cmd_recurrence, "integer recurrence coefficients + check", [
+        _M,
+        (("--depth",), {"type": _int, "default": 8}),
+        (("--multipliers",), {"type": lambda s: [_int(v) for v in s.split(",")],
+                              "default": [1, 3, 5]}),
+        (("--a",), {"type": _int, "default": 0}),
+    ]),
+    "classify": (_cmd_classify, "primitive/semiprimitive root status of 2", [
+        (("p",), {"type": _int}),
+    ]),
+    "scan": (_cmd_scan, "scan primes by root classification", [
+        (("--class",), {"dest": "classification",
+                        "choices": ["semiprimitive", "primitive"],
+                        "default": "semiprimitive"}),
+        (("--max",), {"type": _int, "required": True}),
+        (("--with-alpha",), {"action": "store_true"}),
+    ]),
+    "table": (_cmd_table, "closing table of exponents", [
+        (("--set",), {"dest": "table_set", "choices": ["paper"], "default": "paper"}),
+        (("--compare-mode",), {"choices": ["truncate", "round"], "default": "truncate"}),
+    ]),
+    "empirical": (_cmd_empirical, "dyadic sup profile, fit, remainder scan", [
+        _M, _A,
+        (("--max-exp",), {"type": _int, "default": 20}),
+        (("--window",), {"type": _int, "nargs": 2, "metavar": ("LO", "HI")}),
+        (("--csv",), {"action": "store_true", "help": "emit the profile as CSV"}),
+    ]),
 }
 
 _CSV_COMMANDS = {"table", "scan", "cosets", "empirical"}
 
 
+class _ListCommands(argparse.Action):
+    """-h/--help of the top-level parser: its help with every command listed."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        _top_parser(listing=True).print_help()
+        parser.exit()
+
+
+def _top_parser(listing: bool = False) -> argparse.ArgumentParser:
+    """The top-level parser: --format, --precision, then the command name and
+    the arguments after it, which the command's own parser reads.  With
+    `listing` the command is a subparsers action naming every command with
+    its help; that parser serves the help text alone."""
+    parser = argparse.ArgumentParser(
+        prog="gelfond",
+        description="Newman-like digit sums, coset spectra, recurrences, "
+        "and exact remainder exponents.",
+        add_help=listing,
+    )
+    if not listing:
+        parser.add_argument("-h", "--help", action=_ListCommands, nargs=0,
+                            dest=argparse.SUPPRESS, default=argparse.SUPPRESS,
+                            help="show this help message and exit")
+    parser.add_argument("--format", choices=["json", "csv"], default="json")
+    parser.add_argument("--precision", type=_int, default=8,
+                        help="decimal digits for real numbers (default 8)")
+    if listing:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, (_, text, _) in _COMMANDS.items():
+            sub.add_parser(name, help=text, add_help=False)
+    else:
+        # nargs=PARSER takes the command and the rest, as a subparsers action does
+        parser.add_argument("command", nargs=argparse.PARSER, choices=_COMMANDS)
+    return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """argv parsed by the top-level parser, then by the chosen command's
+    parser alone.  Syntax, help and error texts are those of one parser with
+    a subparser per command."""
+    top = _top_parser()
+    head, extras = top.parse_known_args(argv)
+    name, *rest = head.command
+    parser = argparse.ArgumentParser(prog=f"gelfond {name}")
+    for names, options in _COMMANDS[name][2]:
+        parser.add_argument(*names, **options)
+    args, more = parser.parse_known_args(rest)
+    extras += more
+    if extras:
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command, args.format, args.precision = name, head.format, head.precision
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     want_csv = args.format == "csv" or getattr(args, "csv", False)
     if want_csv and args.command not in _CSV_COMMANDS:
         print(f"error: command {args.command!r} has no CSV output", file=sys.stderr)
@@ -477,7 +524,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     profile = None
     try:
-        out = _HANDLERS[args.command](args)
+        out = _COMMANDS[args.command][0](args)
         if args.command == "empirical":
             result, profile = out
         else:

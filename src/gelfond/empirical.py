@@ -5,11 +5,13 @@ dyadic_profile gives, per dyadic block x in [2^(nu-1), 2^nu), the exact sup
 of |S(m, a, x)| and the first x attaining it, by the cheaper of two exact
 routes.  A max-plus (Viterbi) DP over the levels of the signed digit DP of
 the sums module carries the max and min of every residue class's partial
-sums without visiting the x: O(m * nu) integer operations, O(m) live
-integers, so depths up to PROFILE_MAX_EXP = 256 take milliseconds for small
-m.  A walk over the 2^nu / m members of the class costs O(2^nu / m) steps in
-O(1) memory and takes over for large m at shallow depths.  All sups and sums
-stay exact integers; only the fit and the envelope check work in floats.
+sums without visiting the x, each packed with the first t attaining it into
+one integer key whose integer order is the order the DP needs: O(m * nu)
+integer operations, O(m) live integers, so depths up to PROFILE_MAX_EXP =
+256 take milliseconds for small m.  A walk over the 2^nu / m members of the
+class costs O(2^nu / m) steps in O(1) memory and takes over for large m at
+shallow depths.  All sups and sums stay exact integers; only the fit and the
+envelope check work in floats.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ PROFILE_MAX_EXP = 256
 REMAINDER_MAX_EXP = 28
 #: Measured cost in ns of one step of each exact route (2-CPU Xeon, Python
 #: 3.11): a (residue, level) cell of the max-plus DP, a cell of the signed
-#: digit DP, and one class member visited by the walk.  Deep max-plus cells
-#: cost more, up to about 2500 ns at nu = 256, as their integers grow.
-MAXPLUS_CELL_NS = 1000
+#: digit DP, and one class member visited by the walk.  Max-plus cells cost
+#: 300-420 ns at nu = 32 to 40 and, as their keys grow, 590-680 ns at
+#: nu = 256 for m of a few thousand; at small m the per-level work dominates.
+MAXPLUS_CELL_NS = 600
 DIGIT_CELL_NS = 50
 WALK_STEP_NS = 150
 
@@ -98,11 +101,15 @@ def _maxplus_profile(m: int, a: int, max_exp: int) -> tuple[tuple[BlockSup, ...]
         lo_{i+1}[r] = min(lo_i[r], D_i[r] - hi_i[r - 2^i]),
 
     and block nu = i + 1, x in [2^i, 2^(i+1)), has sup S = D_i[a] - lo_i[c]
-    and inf S = D_i[a] - hi_i[c] with c = a - 2^i.  Entries are pairs
-    (value, -t) in hi and (value, t) in lo, so tuple order keeps the smallest
-    t attaining each extremum.
+    and inf S = D_i[a] - hi_i[c] with c = a - 2^i.  Each extremum and the
+    smallest t attaining it share one integer key: with W = max_exp + 1 and
+    t < 2^max_exp, hi holds value * 2^W - t and lo holds value * 2^W + t, so
+    integer order is value order with ties toward the smaller t.  A block's
+    best key is sup * 2^W - x with 0 < x < 2^W, so sup is its ceiling
+    quotient by 2^W and x the remainder to the next multiple.
     """
-    hi = lo = [(0, 0)] * m  # t < 2^0 is t = 0 alone, with S = 0
+    w = max_exp + 1
+    hi = lo = [0] * m  # t < 2^0 is t = 0 alone, with S = 0
     boundary = []
     blocks = []
     for i, d in zip(range(max_exp + 1), _levels(m)):
@@ -112,15 +119,19 @@ def _maxplus_profile(m: int, a: int, max_exp: int) -> tuple[tuple[BlockSup, ...]
         base = 1 << i
         pw = base % m
         c = (a - pw) % m
-        top = (d[a] - lo[c][0], -(base + lo[c][1]))
-        bottom = (-(d[a] - hi[c][0]), -(base - hi[c][1]))
-        sup, neg_x = max(top, bottom)  # ties between |sup| and |inf|: smaller x
-        blocks.append(BlockSup(i + 1, sup, -neg_x))
+        da = d[a] << w
+        top = da - lo[c] - base  # key of the block's sup of S, at x = base + t
+        bottom = hi[c] - da - base  # key of minus its inf
+        best = top if top >= bottom else bottom  # ties of |sup|, |inf|: smaller x
+        sup = -(-best >> w)
+        blocks.append(BlockSup(i + 1, sup, (sup << w) - best))
         hi_s = hi[m - pw:] + hi[:m - pw]  # hi_s[r] = hi[r - 2^i]
         lo_s = lo[m - pw:] + lo[:m - pw]
         hi, lo = (
-            [max(old, (v - low, -(base + t))) for old, v, (low, t) in zip(hi, d, lo_s)],
-            [min(old, (v - high, base - t)) for old, v, (high, t) in zip(lo, d, hi_s)],
+            [old if old > (k := (v << w) - low - base) else k
+             for old, v, low in zip(hi, d, lo_s)],
+            [old if old < (k := (v << w) - high + base) else k
+             for old, v, high in zip(lo, d, hi_s)],
         )
     return tuple(blocks), tuple(boundary)
 
@@ -157,7 +168,7 @@ def dyadic_profile(m: int, a: int, max_exp: int) -> DyadicProfile:
     Two exact routes give identical profiles; the cheaper one runs.  The
     max-plus DP costs m * max_exp cells with O(m) live integers; the class
     walk costs 2^max_exp / m steps in O(1) memory.  The DP wins while
-    m^2 * max_exp is below about 2^max_exp / 7, so it takes every small m
+    m^2 * max_exp is below about 2^max_exp / 4, so it takes every small m
     and every deep profile; the walk takes large m at shallow depths.
     """
     _check_query(m, a, 1)

@@ -153,9 +153,11 @@ def test_profile_cost_guard(capsys, monkeypatch):
     assert len(blocks) == 28
     for nu, sup, x in blocks:
         assert abs(newman_sum_enumerate(1572864, 0, x, cap=x)) == sup, nu
-    # at the bound: 3906 * 256 max-plus cells predict 0.999936 s
-    assert cli.emp.profile_cost_ns(3906, 256) <= cli.MAX_PROFILE_NS
-    env = run_json(capsys, "empirical", "3906", "1", "--max-exp", "256")
+    # at the bound: 6510 * 256 max-plus cells predict 0.999936 s, one more m
+    # 1.0000896 s
+    assert cli.emp.profile_cost_ns(6510, 256) <= cli.MAX_PROFILE_NS
+    assert cli.emp.profile_cost_ns(6511, 256) > cli.MAX_PROFILE_NS
+    env = run_json(capsys, "empirical", "6510", "1", "--max-exp", "256")
     assert len(env["result"]["blocks"]) == 256
 
     def no_dp(*args):
@@ -163,7 +165,7 @@ def test_profile_cost_guard(capsys, monkeypatch):
 
     monkeypatch.setattr(cli.emp, "dyadic_profile", no_dp)
     monkeypatch.setattr(cli.emp, "gelfond_remainder_check", no_dp)
-    for m in ("3907", "65537"):
+    for m in ("6511", "65537"):
         code, out, err = run_cli(capsys, "empirical", m, "0", "--max-exp", "256")
         assert code == 2, m
         assert out == ""
@@ -294,8 +296,8 @@ MODULE_RUNS = [
 
 
 def test_module_entry_point_runs_every_subcommand():
-    commands = {next(a for a in argv if a in cli._HANDLERS) for argv, _ in MODULE_RUNS}
-    assert commands == set(cli._HANDLERS)
+    commands = {next(a for a in argv if a in cli._COMMANDS) for argv, _ in MODULE_RUNS}
+    assert commands == set(cli._COMMANDS)
     for argv, form in MODULE_RUNS:
         out = run_fresh("-m", "gelfond.cli", *argv)
         if form == "json":
@@ -316,7 +318,7 @@ def readme_usage_commands():
 
 def test_readme_usage_commands_run(capsys):
     commands = readme_usage_commands()
-    assert {argv[1] for argv in commands} == set(cli._HANDLERS)
+    assert {argv[1] for argv in commands} == set(cli._COMMANDS)
     for argv in commands:
         assert argv[0] == "gelfond", argv
         code, out, err = run_cli(capsys, *argv[1:])
@@ -485,6 +487,81 @@ def test_argparse_errors_use_code_2():
     with pytest.raises(SystemExit) as info:
         cli.main(["scan"])  # --max is required
     assert info.value.code == 2
+
+
+#: Each command's one-line help and the arguments its --help lists, in order.
+COMMAND_HELP = {
+    "cosets": ("cyclotomic cosets of 2 mod m", ["m", "-h, --help", "--all-elements"]),
+    "alpha": ("exact remainder exponent alpha(m)",
+              ["m", "-h, --help", "--per-rep", "--full-range", "--closed-form"]),
+    "sum": ("Newman-like sum S(m, a, x)", ["m", "a", "x", "-h, --help", "--method"]),
+    "counts": ("digit-sum parity counts in the class", ["m", "a", "x", "-h, --help"]),
+    "recurrence": ("integer recurrence coefficients + check",
+                   ["m", "-h, --help", "--depth", "--multipliers", "--a"]),
+    "classify": ("primitive/semiprimitive root status of 2", ["p", "-h, --help"]),
+    "scan": ("scan primes by root classification",
+             ["-h, --help", "--class", "--max", "--with-alpha"]),
+    "table": ("closing table of exponents", ["-h, --help", "--set", "--compare-mode"]),
+    "empirical": ("dyadic sup profile, fit, remainder scan",
+                  ["m", "a", "-h, --help", "--max-exp", "--window", "--csv"]),
+}
+
+
+def run_exit(capsys, *argv):
+    """(exit code, stdout, stderr) of a call that argparse ends."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+def test_help_of_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert set(COMMAND_HELP) == set(cli._COMMANDS)
+    for name, (_, options) in COMMAND_HELP.items():
+        code, out, err = run_exit(capsys, name, "--help")
+        assert (code, err) == (0, ""), name
+        assert out.startswith(f"usage: gelfond {name} [-h]"), name
+        assert re.findall(r"^  (-h, --help|[-\w]+)", out, re.M) == options, name
+    code, out, err = run_exit(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: gelfond [-h] [--format {json,csv}] [--precision PRECISION]\n")
+    listed = re.findall(r"^    (\w+) +(.+)$", out, re.M)
+    assert listed == [(name, text) for name, (text, _) in COMMAND_HELP.items()]
+    assert "  --format {json,csv}\n" in out and "  --precision PRECISION\n" in out
+
+
+TOP_USAGE = """usage: gelfond [-h] [--format {json,csv}] [--precision PRECISION]
+               {cosets,alpha,sum,counts,recurrence,classify,scan,table,empirical}
+               ...
+"""
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], TOP_USAGE + "gelfond: error: the following arguments are required: command\n"),
+    (["bogus", "1"], TOP_USAGE + "gelfond: error: argument command: invalid choice: 'bogus' "
+     "(choose from 'cosets', 'alpha', 'sum', 'counts', 'recurrence', 'classify', 'scan', "
+     "'table', 'empirical')\n"),
+    (["scan"], "usage: gelfond scan [-h] [--class {semiprimitive,primitive}] --max MAX\n"
+     "                    [--with-alpha]\n"
+     "gelfond scan: error: the following arguments are required: --max\n"),
+    (["table", "--format", "csv"],
+     TOP_USAGE + "gelfond: error: unrecognized arguments: --format csv\n"),
+])
+def test_parse_errors_keep_their_text(capsys, monkeypatch, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_exit(capsys, *argv) == (2, "", message)
+
+
+def test_over_long_integer_is_refused_by_its_length(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_exit(capsys, "sum", "1", "0", "9" * (limit + 1))
+    assert (code, out) == (2, "")
+    assert len(err) < 300
+    assert f"argument x: {limit + 1}-digit integer exceeds the limit of {limit} digits" in err
+    x = "9" * limit
+    env = run_json(capsys, "sum", "1", "0", x)
+    assert int(env["result"]["value"]) == newman_sum_dp(1, 0, int(x))
 
 
 def test_result_payload_deterministic(capsys):

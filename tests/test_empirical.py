@@ -17,6 +17,7 @@ from gelfond import (
     newman_sum_dp,
     newman_sum_enumerate,
 )
+from gelfond.sums import _levels
 
 
 def test_profile_m3_small():
@@ -95,6 +96,53 @@ def test_profile_routes_agree_at_large_m():
     for m in (1000, 1001, 4096, 4487):
         a = rng.randrange(m)
         assert empirical._maxplus_profile(m, a, 24) == empirical._walk_profile(m, a, 24), (m, a)
+
+
+def _tuple_keyed_profiles(m, max_exp, residues):
+    """{a: (blocks, boundary_sums)} for each residue a by the max-plus DP
+    with (value, -t) / (value, t) pairs for keys, as _maxplus_profile ran
+    before integer keys.  The hi / lo lists do not depend on a, so one pass
+    reads out the blocks of every residue asked for."""
+    hi = lo = [(0, 0)] * m
+    out = {a: ([], []) for a in residues}
+    for i, d in zip(range(max_exp + 1), _levels(m)):
+        for a, (_, boundary) in out.items():
+            boundary.append(d[a])
+        if i == max_exp:
+            break
+        base = 1 << i
+        pw = base % m
+        for a, (blocks, _) in out.items():
+            c = (a - pw) % m
+            top = (d[a] - lo[c][0], -(base + lo[c][1]))
+            bottom = (-(d[a] - hi[c][0]), -(base - hi[c][1]))
+            sup, neg_x = max(top, bottom)
+            blocks.append(BlockSup(i + 1, sup, -neg_x))
+        hi_s = hi[m - pw:] + hi[:m - pw]
+        lo_s = lo[m - pw:] + lo[:m - pw]
+        hi, lo = (
+            [max(old, (v - low, -(base + t))) for old, v, (low, t) in zip(hi, d, lo_s)],
+            [min(old, (v - high, base - t)) for old, v, (high, t) in zip(lo, d, hi_s)],
+        )
+    return {a: (tuple(blocks), tuple(boundary)) for a, (blocks, boundary) in out.items()}
+
+
+@pytest.mark.parametrize("max_exp", [1, 2, 26, 256])
+def test_integer_keys_equal_the_tuple_keyed_dp(max_exp):
+    # every residue of every modulus up to 64, odd and even
+    for m in range(1, 65):
+        want = _tuple_keyed_profiles(m, max_exp, range(m))
+        for a in range(m):
+            assert empirical._maxplus_profile(m, a, max_exp) == want[a], (m, a, max_exp)
+
+
+def test_integer_keys_equal_the_tuple_keyed_dp_at_random_sizes():
+    rng = random.Random(11)
+    for _ in range(30):
+        m = rng.randrange(1, 5001)
+        a, max_exp = rng.randrange(m), rng.randrange(1, 49)
+        want = _tuple_keyed_profiles(m, max_exp, [a])[a]
+        assert empirical._maxplus_profile(m, a, max_exp) == want, (m, a, max_exp)
 
 
 def test_large_m_profile_walks_the_class(monkeypatch):
