@@ -55,16 +55,13 @@ from .recurrence import (
 from .spectral import (
     SpectralRoots,
     characteristic_roots,
-    f_beta,
     newman_sum_explicit,
     newman_sum_pow2,
-    unit_root,
 )
 from .sums import (
     ENUMERATION_CAP,
     EnumerationCapError,
     ParityCount,
-    binary_exponents,
     digit_sum,
     dyadic_sums,
     newman_sum_dp,
@@ -101,7 +98,6 @@ __all__ = [
     "alpha_closed_prime",
     "alpha_even",
     "alpha_for_rep",
-    "binary_exponents",
     "characteristic_roots",
     "classify_prime",
     "coefficients_from_sums",
@@ -112,7 +108,6 @@ __all__ = [
     "dyadic_profile",
     "dyadic_sums",
     "envelope_check",
-    "f_beta",
     "fit_exponent",
     "gelfond_remainder_check",
     "is_prime",
@@ -126,6 +121,5 @@ __all__ = [
     "scan_primes",
     "scan_semiprimitive",
     "simple_prime_c1",
-    "unit_root",
     "verify_recurrence",
 ]

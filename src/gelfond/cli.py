@@ -137,7 +137,7 @@ def _alpha_report_payload(report, args):
 
 def _cmd_alpha(args):
     if args.m % 2 == 0:
-        report = expo.alpha_even(args.m)
+        report = expo.alpha_even(args.m, full_range=args.full_range)
         payload = _alpha_report_payload(report, args)
         payload["odd_part"] = report.m
         payload["m"] = args.m
@@ -287,12 +287,8 @@ def _cmd_table(args):
     rows = []
     for m in PAPER_TABLE_MODULI:
         report = expo.alpha(m)
-        if args.compare_mode == "truncate":
-            four = _truncate(report.alpha, 4)
-        else:
-            four = f"{report.alpha:.4f}"
-        rows.append({"m": m, "alpha": report.alpha, "alpha_4dec": four})
-    return {"set": args.table_set, "compare_mode": args.compare_mode, "rows": rows}
+        rows.append({"m": m, "alpha": report.alpha, "alpha_4dec": _truncate(report.alpha, 4)})
+    return {"set": args.table_set, "rows": rows}
 
 
 def _cmd_empirical(args):
@@ -343,13 +339,13 @@ def _cmd_empirical(args):
                 "omega_attained": env.omega_attained,
                 "omega_margin": env.omega_margin,
             }
-    return result, profile
+    return result
 
 
 # ------------------------------------------------------------- CSV shaping
 
 
-def _csv_rows(command, result, profile=None):
+def _csv_rows(command, result):
     if command == "table":
         header = ["m", "alpha", "alpha_4dec"]
         return header, [[r["m"], r["alpha"], r["alpha_4dec"]] for r in result["rows"]]
@@ -366,9 +362,9 @@ def _csv_rows(command, result, profile=None):
     if command == "empirical":
         header = ["nu", "sup", "argmax_x", "log2_sup"]
         rows = []
-        for b in profile.blocks:
-            log2_sup = math.log2(b.sup) if b.sup > 0 else float("-inf")
-            rows.append([b.nu, b.sup, b.argmax_x, log2_sup])
+        for nu, sup, argmax_x in result["blocks"]:
+            log2_sup = math.log2(sup) if sup > 0 else float("-inf")
+            rows.append([nu, sup, argmax_x, log2_sup])
         return header, rows
     raise ValueError(f"command {command!r} has no CSV form")
 
@@ -448,7 +444,6 @@ _COMMANDS = {
     ]),
     "table": (_cmd_table, "closing table of exponents", [
         (("--set",), {"dest": "table_set", "choices": ["paper"], "default": "paper"}),
-        (("--compare-mode",), {"choices": ["truncate", "round"], "default": "truncate"}),
     ]),
     "empirical": (_cmd_empirical, "dyadic sup profile, fit, remainder scan", [
         _M, _A,
@@ -522,13 +517,8 @@ def main(argv=None) -> int:
         print(f"error: command {args.command!r} has no CSV output", file=sys.stderr)
         return 2
     started = time.perf_counter()
-    profile = None
     try:
-        out = _COMMANDS[args.command][0](args)
-        if args.command == "empirical":
-            result, profile = out
-        else:
-            result = out
+        result = _COMMANDS[args.command][0](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -538,7 +528,7 @@ def main(argv=None) -> int:
     elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
 
     if want_csv:
-        header, rows = _csv_rows(args.command, result, profile)
+        header, rows = _csv_rows(args.command, result)
         sys.stdout.write(_emit_csv(header, rows, args.precision))
         return 0
     inputs = {

@@ -11,9 +11,11 @@ import math
 from array import array
 from typing import NamedTuple
 
-from .modular import prime_factors
+from .modular import miller_rabin as is_prime, prime_factors
 
-#: Trial division is exact and fast up to this bound; larger inputs are refused.
+#: classify_prime factors p - 1 by trial division, which stays fast up to
+#: this bound; larger p are refused.  Primality itself (is_prime, the
+#: Miller-Rabin test of modular) is exact below 2^64.
 PRIMALITY_BOUND = 10**7
 
 PRIMITIVE = "primitive"
@@ -89,22 +91,6 @@ def cyclotomic_cosets(m: int) -> CosetDecomposition:
     )
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial division; only supported up to PRIMALITY_BOUND."""
-    if n > PRIMALITY_BOUND:
-        raise ValueError(f"primality test supported only up to {PRIMALITY_BOUND}")
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _classify(p: int, factors: list[int]) -> PrimeClassification:
     """Classify the odd prime p, given the distinct prime factors of p - 1.
 
@@ -132,7 +118,12 @@ def classify_prime(p: int) -> PrimeClassification:
 
     primitive: 2 generates the full group (ord = p-1);
     semiprimitive: ord = (p-1)/2 and 2**x == -1 (mod p) has no solution.
+
+    p - 1 is factored by trial division, so p is capped at PRIMALITY_BOUND.
     """
+    if p > PRIMALITY_BOUND:
+        raise ValueError(f"classify_prime factors p - 1 by trial division, "
+                         f"supported only up to {PRIMALITY_BOUND}, got p={p}")
     if not is_prime(p) or p == 2:
         raise ValueError(f"classify_prime needs an odd prime, got {p}")
     return _classify(p, prime_factors(p - 1))

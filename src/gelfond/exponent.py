@@ -128,9 +128,10 @@ def alpha_closed_prime(p: int) -> float:
     return _closed_prime(p)
 
 
-def alpha_even(m: int) -> ExponentReport:
+def alpha_even(m: int, full_range: bool = False) -> ExponentReport:
     """Strip factors of 2 (each halving preserves the growth exponent) and
-    report on the odd part; a pure power of two has bounded partial sums."""
+    report on the odd part, as alpha(odd part, full_range) does; a pure power
+    of two has bounded partial sums."""
     if m < 2 or m % 2:
         raise ValueError(f"alpha_even needs an even modulus >= 2, got m={m}")
     odd = _odd_part(m)
@@ -145,4 +146,4 @@ def alpha_even(m: int) -> ExponentReport:
             log2_v=None,
             bounded=True,
         )
-    return alpha(odd)
+    return alpha(odd, full_range)

@@ -15,8 +15,7 @@ order m stands for e^{2 pi i/m}, with enough primes that CRT recovers the
 integer from the bound |S(m, a, N)| <= ceil(N/m).  Nothing is rounded, the
 cost is O(m log N) products mod p per prime with O(log N / 62) primes, and
 the route reads only the bits of N and w, never the digit DP, so it stays
-an independent check on it.  f_beta is the same closed form in complex
-doubles.
+an independent check on it.
 
 The doubling orbit of t also yields the coset root spectrum: per coset
 z_j = prod_{t in C_j} (1 - e^{2 pi i t/m}), and the h-step products collapse
@@ -57,15 +56,6 @@ class SpectralRoots(NamedTuple):
     eta: int                              # largest cluster of coincident Z_j
 
 
-def unit_root(t: int, m: int) -> complex:
-    """e^{2 pi i t / m} with the phase reduced mod m first."""
-    return cmath.exp(2j * math.pi * (t % m) / m)
-
-
-def _unit_table(m: int) -> list[complex]:
-    return [cmath.exp(2j * math.pi * t / m) for t in range(m)]
-
-
 def _bit_terms(m: int, n: int) -> dict[int, tuple[int, int]]:
     """The closed form of F_{t/m}(n) over the set bits v_0 > v_1 > ... of n:
 
@@ -81,25 +71,6 @@ def _bit_terms(m: int, n: int) -> dict[int, tuple[int, int]]:
             prefix = (prefix + pow(2, v, m)) % m
             sign = -sign
     return terms
-
-
-def f_beta(t: int, m: int, n: int) -> complex:
-    """F_{t/m}(n) = sum_{k < n} (-1)^s(k) e^{2 pi i t k / m}, n >= 1."""
-    _check_query(m, 0, n)
-    if n < 1:
-        raise ValueError(f"f_beta needs n >= 1, got {n}")
-    table = _unit_table(m)
-    terms = _bit_terms(m, n)
-    total = 0j
-    prod = 1 + 0j  # F_{t/m}(2^v) = prod_{k < v} (1 - zeta^(t 2^k))
-    u = t % m      # t 2^v mod m
-    for v in range(n.bit_length()):
-        if v in terms:
-            sign, prefix = terms[v]
-            total += sign * table[t * prefix % m] * prod
-        prod *= 1 - table[u]
-        u = 2 * u % m
-    return total
 
 
 def _character_sum_mod(m: int, a: int, terms: dict, top: int, p: int, w: int) -> int:
@@ -226,7 +197,7 @@ def characteristic_roots(dec: CosetDecomposition) -> SpectralRoots:
     """Per-coset roots z_j, effective roots Z_j, dominant magnitude and
     multiplicity of the h-step recurrence spectrum."""
     m = dec.m
-    table = _unit_table(m)
+    table = [cmath.exp(2j * math.pi * t / m) for t in range(m)]
     roots = []
     for coset in dec.cosets:
         z = 1 + 0j

@@ -55,13 +55,6 @@ def digit_sum(n: int) -> int:
     return n.bit_count()
 
 
-def binary_exponents(n: int) -> list[int]:
-    """Strictly decreasing exponents with n = sum of 2**e (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"binary_exponents needs n >= 1, got {n}")
-    return [i for i in range(n.bit_length() - 1, -1, -1) if (n >> i) & 1]
-
-
 def newman_sum_enumerate(m: int, a: int, x: int, cap: int = ENUMERATION_CAP) -> int:
     """S(m, a, x) by direct enumeration. Refuses x > cap; use the DP instead."""
     _check_query(m, a, x)

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import math
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import gelfond.cli as cli
+from gelfond import exponent as expo
 from gelfond import newman_sum_dp, newman_sum_enumerate, newman_sum_explicit, parity_counts
 
 
@@ -67,6 +69,25 @@ def test_alpha_even_modulus(capsys):
     bounded = run_json(capsys, "alpha", "8")
     assert bounded["result"]["bounded"] is True
     assert bounded["result"]["alpha"] == 0
+
+
+def test_alpha_even_full_range_sweeps_the_odd_part(capsys, monkeypatch):
+    calls = []
+    real = expo.alpha
+
+    def spy(m, full_range=False):
+        calls.append((m, full_range))
+        return real(m, full_range)
+
+    monkeypatch.setattr(expo, "alpha", spy)
+    swept = run_json(capsys, "alpha", "34", "--full-range")
+    plain = run_json(capsys, "alpha", "34")
+    assert calls == [(17, True), (17, False)]
+    assert swept["inputs"]["full_range"] is True
+    assert swept["result"] == plain["result"]
+    # a power of two has no odd part to sweep
+    assert run_json(capsys, "alpha", "8", "--full-range")["result"]["bounded"] is True
+    assert len(calls) == 2
 
 
 def test_sum_all_methods(capsys):
@@ -308,9 +329,12 @@ def test_module_entry_point_runs_every_subcommand():
             assert len(rows) > 1 and all(len(r) == len(rows[0]) for r in rows), argv
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_usage_commands():
     """The `gelfond ...` lines of README's usage block, as argument lists."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     blocks = re.findall(r"^```\n(gelfond .*?)^```", readme, re.M | re.S)
     assert len(blocks) == 1, "README should hold one block of gelfond commands"
     return [shlex.split(line, comments=True) for line in blocks[0].splitlines()]
@@ -330,6 +354,17 @@ def test_readme_usage_commands_run(capsys):
             env = json.loads(out)
             assert list(env) == ["schema_version", "command", "inputs", "result", "timing_ms"]
             assert env["command"] == argv[1] and env["result"], argv
+
+
+def test_readme_module_table_names_exist():
+    section = README.read_text().split("\n## Modules\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` +\|(.*)\|$", section, re.M)
+    assert {module for module, _ in rows} == {*LAYERS, "modular"}
+    for module, contents in rows:
+        namespace = vars(importlib.import_module(f"gelfond.{module}"))
+        missing = [name for name in re.findall(r"`([^`]+)`", contents)
+                   if name not in namespace]
+        assert missing == [], module
 
 
 def test_big_integers_serialize_as_strings(capsys):
@@ -480,6 +515,7 @@ def test_validation_exit_codes(capsys):
     assert run_cli(capsys, "cosets", "4")[0] == 2
     assert run_cli(capsys, "sum", "5", "7", "3")[0] == 2
     assert run_cli(capsys, "classify", "15")[0] == 2
+    assert run_cli(capsys, "classify", "10000019")[0] == 2  # past PRIMALITY_BOUND
     assert run_cli(capsys, "empirical", "3", "0", "--max-exp", "257")[0] == 2
 
 
@@ -501,7 +537,7 @@ COMMAND_HELP = {
     "classify": ("primitive/semiprimitive root status of 2", ["p", "-h, --help"]),
     "scan": ("scan primes by root classification",
              ["-h, --help", "--class", "--max", "--with-alpha"]),
-    "table": ("closing table of exponents", ["-h, --help", "--set", "--compare-mode"]),
+    "table": ("closing table of exponents", ["-h, --help", "--set"]),
     "empirical": ("dyadic sup profile, fit, remainder scan",
                   ["m", "a", "-h, --help", "--max-exp", "--window", "--csv"]),
 }

@@ -155,9 +155,14 @@ def test_scan_validation():
 
 
 def test_primality_bound_documented_and_enforced():
+    # the bound caps classify_prime's trial factoring of p - 1, not primality
+    assert PRIMALITY_BOUND == 10**7
     assert is_prime(9999991)  # largest prime under the bound
-    with pytest.raises(ValueError):
-        is_prime(PRIMALITY_BOUND + 1)
+    assert is_prime(10000019)  # least prime over it
+    assert not is_prime(PRIMALITY_BOUND + 1)  # 11 * 909091
+    assert classify_prime(9999991).p == 9999991
+    with pytest.raises(ValueError, match="trial division"):
+        classify_prime(10000019)
 
 
 def _reference_class(p):
@@ -173,7 +178,7 @@ def _reference_class(p):
 
 @pytest.fixture(scope="module")
 def reference_classes():
-    """(p, class) for the odd primes p <= 20000, by trial division and the
+    """(p, class) for the odd primes p <= 20000, by Miller-Rabin and the
     orbit walk."""
     return [(p, _reference_class(p)) for p in range(3, 20001, 2) if is_prime(p)]
 

@@ -1,4 +1,3 @@
-import cmath
 import math
 import os
 import random
@@ -10,71 +9,11 @@ import pytest
 from gelfond import (
     characteristic_roots,
     cyclotomic_cosets,
-    f_beta,
     newman_sum_dp,
     newman_sum_enumerate,
     newman_sum_explicit,
     newman_sum_pow2,
-    unit_root,
 )
-
-
-def brute_f_beta(t, m, n):
-    """Direct summation of the generating sum, the independent oracle."""
-    beta = t / m
-    return sum(
-        cmath.exp(2j * math.pi * (beta * k + bin(k).count("1") / 2)) for k in range(n)
-    )
-
-
-def test_unit_root_reduces_phase():
-    assert unit_root(5, 5) == pytest.approx(1.0)
-    assert unit_root(7, 5) == pytest.approx(unit_root(2, 5))
-    assert abs(unit_root(3, 11)) == pytest.approx(1.0)
-
-
-def test_f_beta_two_terms():
-    rng = random.Random(11)
-    for _ in range(30):
-        m = rng.randrange(3, 40)
-        t = rng.randrange(m)
-        assert f_beta(t, m, 2) == pytest.approx(1 - unit_root(t, m))
-
-
-def test_f_beta_power_of_two_vanishes_at_beta_zero():
-    assert f_beta(0, 7, 4) == pytest.approx(0.0)
-    assert f_beta(0, 3, 16) == pytest.approx(0.0)
-
-
-def test_f_beta_against_direct_sum():
-    rng = random.Random(12)
-    for _ in range(120):
-        m = rng.randrange(3, 30, 2)
-        t = rng.randrange(m)
-        n = rng.randrange(1, 1 << 12)
-        assert f_beta(t, m, n) == pytest.approx(brute_f_beta(t, m, n), abs=1e-6)
-
-
-def test_f_beta_tail_additivity():
-    # appending a lower bit adds a phased copy of the power-of-two sum
-    rng = random.Random(13)
-    for _ in range(60):
-        m = rng.randrange(3, 24, 2)
-        t = rng.randrange(m)
-        n = rng.randrange(2, 1 << 10) * 4  # ensure room below the lowest bit
-        low = (n & -n).bit_length() - 1
-        nu = rng.randrange(low)
-        n1 = n + (1 << nu)
-        phase = unit_root(t * (n % m), m) * (-1) ** (bin(n).count("1") & 1)
-        expected = f_beta(t, m, n) + phase * f_beta(t, m, 1 << nu)
-        assert f_beta(t, m, n1) == pytest.approx(expected, abs=1e-9)
-
-
-def test_f_beta_validation():
-    with pytest.raises(ValueError):
-        f_beta(1, 3, 0)
-    with pytest.raises(ValueError):
-        f_beta(0, 0, 4)
 
 
 def test_explicit_known_values():

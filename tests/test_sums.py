@@ -8,7 +8,6 @@ from gelfond import (
     EnumerationCapError,
     LAMBDA,
     ParityCount,
-    binary_exponents,
     digit_sum,
     dyadic_sums,
     newman_sum_dp,
@@ -62,20 +61,6 @@ def test_digit_sum_shift_recursion():
         n = rng.randrange(1 << 40)
         assert digit_sum(2 * n) == digit_sum(n)
         assert digit_sum(2 * n + 1) == digit_sum(n) + 1
-
-
-def test_binary_exponents():
-    assert binary_exponents(1) == [0]
-    assert binary_exponents(6) == [2, 1]
-    rng = random.Random(2)
-    for _ in range(100):
-        n = rng.randrange(1, 1 << 50)
-        exps = binary_exponents(n)
-        assert sum(1 << e for e in exps) == n
-        assert exps == sorted(exps, reverse=True)
-        assert len(exps) == digit_sum(n)
-    with pytest.raises(ValueError):
-        binary_exponents(0)
 
 
 def test_enumerate_known_values():
