@@ -114,7 +114,7 @@ def _cmd_cosets(args):
         "representatives": list(dec.representatives),
         "sizes": list(dec.sizes),
     }
-    if args.all_elements:
+    if args.all_elements or args.format == "csv":  # the CSV rows are the cosets
         result["cosets"] = [list(c) for c in dec.cosets]
     return result
 
@@ -355,9 +355,8 @@ def _csv_rows(command, result):
         return ["p"], [[p] for p in result["primes"]]
     if command == "cosets":
         header = ["representative", "size", "elements"]
-        dec = cyclotomic_cosets(result["m"])
         return header, [
-            [c[0], len(c), " ".join(map(str, c))] for c in dec.cosets
+            [c[0], len(c), " ".join(map(str, c))] for c in result["cosets"]
         ]
     if command == "empirical":
         header = ["nu", "sup", "argmax_x", "log2_sup"]

@@ -135,6 +135,12 @@ def power_table(w: int, m: int, p: int) -> list[int]:
     return powers
 
 
+def crt_root(primes: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """(M, w) for pairs (p, w_p) from split_primes: M the product of the p
+    and w the CRT lift of the w_p, of order m in every F_p at once."""
+    return prod(p for p, _ in primes), crt_symmetric((w, p) for p, w in primes)
+
+
 def crt_symmetric(residues: Iterable[tuple[int, int]]) -> int:
     """The integer V with |V| < M/2 and V == r (mod p) for every (r, p),
     M the product of the (pairwise coprime) p, by Garner's mixed radix."""

@@ -9,31 +9,33 @@ drive both
 
 for every offset n >= 0 and every positive multiplier u.  The coefficients
 are derived twice, independently and in exact integer arithmetic: by
-expanding the root polynomial mod a product of split primes, and by solving
-the integer linear system the first identity induces at consecutive offsets.
-verify_recurrence then checks both identities with exact integer sums;
-a passing report always has defect 0.
+expanding the root polynomial mod a product of split primes, and by
+Berlekamp-Massey on the sums themselves.  For each h-phase s the first
+identity says that u_k = S(m, a, 2^(s + k h + 1)) satisfies the order-r
+recurrence, so 2r terms of a phase fix its minimal polynomial, and a phase
+whose minimal order is r yields the c_q.  verify_recurrence then checks
+both identities with exact integer sums; a passing report always has
+defect 0.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+from math import gcd
 from typing import NamedTuple
 
 from .cosets import PRIMITIVE, CosetDecomposition, classify_prime, cyclotomic_cosets
-from .modular import crt_symmetric, power_table, split_primes
-from .sums import _check_query, _sums_in_one_pass, dyadic_sums, newman_sum_dp
-
-#: Offsets tried for the sum-based linear system before reporting singularity.
-SYSTEM_OFFSETS = range(0, 6)
+from .modular import crt_root, power_table, split_primes
+from .sums import _check_query, _dyadic_stream, _sums_in_one_pass, newman_sum_dp
 
 
 class SingularSystemError(ArithmeticError):
-    """The sum-based system was singular at every tried offset.
+    """No h-phase of S(m, a, .) has minimal order r, so the sums alone do
+    not fix the r coefficients.
 
-    This genuinely happens when effective roots coincide (m = 15), and when
-    the expansion of S(m, a, .) misses a root, as for (27, 26) and (127, 1):
-    either way the sequence satisfies a lower-order recurrence, so every
-    r x r window is rank deficient.  It is reported, never papered over.
+    This happens when effective roots coincide (eta > 1, first at m = 15):
+    every phase then satisfies a recurrence of order below r.  It is
+    reported with the largest minimal order found, never papered over.
     """
 
 
@@ -73,11 +75,8 @@ def coefficients_spectral(dec: CosetDecomposition) -> RecurrenceSpec:
     the primes of each m, so only the first call for an m searches.
     """
     m, r, h = dec.m, dec.r, dec.h
-    primes = split_primes(m, r * (h + 1) + 1)
-    modulus = 1
-    for p, _ in primes:
-        modulus *= p
-    powers = power_table(crt_symmetric((w, p) for p, w in primes), m, modulus)
+    modulus, w = crt_root(split_primes(m, r * (h + 1) + 1))
+    powers = power_table(w, m, modulus)
     poly = [1]
     for l in dec.representatives:
         z, u = 1, l
@@ -89,65 +88,66 @@ def coefficients_spectral(dec: CosetDecomposition) -> RecurrenceSpec:
     return RecurrenceSpec(m=m, r=r, h=h, coefficients=coefficients)
 
 
-def _solve_integer_system(rows, rhs):
-    """Fraction-free (Bareiss) Gauss-Jordan: (numerators, d) with solution
-    x_i = numerators[i] / d and d = +-det, or None if the matrix is singular.
+def _minimal_polynomial(seq: list[int]) -> tuple[int, list[int]]:
+    """Fraction-free Berlekamp-Massey: (L, c) with L the linear complexity
+    of seq and c = [c_0, ..., c_L] primitive integers, c_0 != 0, such that
+    sum_i c_i seq[n - i] = 0 for every L <= n < len(seq).
 
-    Every entry stays an integer minor of [rows | rhs], so each division by
-    the previous pivot is exact.
+    Massey's update c <- c - (d/b) x^k c', with c' the polynomial before
+    the last change of L and b its discrepancy, is multiplied through by b
+    so it stays integral, and the content is divided out after each update.
+    So c is a scalar multiple of Massey's rational polynomial at every step.
     """
-    n = len(rows)
-    aug = [[*row, b] for row, b in zip(rows, rhs)]
-    prev = 1
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        top = aug[col]
-        p = top[col]
-        for i in range(n):
-            if i != col:
-                f = aug[i][col]
-                aug[i] = [(p * v - f * w) // prev for v, w in zip(aug[i], top)]
-        prev = p
-    return [row[n] for row in aug], prev
+    c, prev = [1], [1]
+    length, shift, last = 0, 1, 1
+    for n in range(len(seq)):
+        d = sum(x * y for x, y in zip(c, seq[n::-1]))
+        if d == 0:
+            shift += 1
+            continue
+        new = [last * x for x in c] + [0] * (shift + len(prev) - len(c))
+        for i, y in enumerate(prev, shift):
+            new[i] -= d * y
+        if 2 * length <= n:
+            prev, last, length, shift = c, d, n + 1 - length, 1
+        else:
+            shift += 1
+        g = gcd(*new)
+        c = [x // g for x in new[: length + 1]]
+    return length, c
 
 
 def coefficients_from_sums(m: int, a: int) -> RecurrenceSpec:
-    """Recover c_1..c_r from exact S values at consecutive dyadic offsets.
+    """Recover c_1..c_r from exact S values, one h-phase at a time.
 
-    Builds the r x r system of the offset identity at n = n0 .. n0+r-1 and
-    solves it exactly over the integers; offsets n0 = 0..5 are tried in
-    turn when the matrix is singular.  Every system reads the one
-    dyadic_sums pass up to the largest offset.
+    Phase s is u_k = S(m, a, 2^(s + k h + 1)), k < 2r.  By the offset
+    identity the root polynomial P of order r annihilates every phase, so
+    2r terms fix each phase's minimal polynomial by Berlekamp-Massey.  The
+    first phase whose minimal order is r has P itself, and c_i is its i-th
+    coefficient over its constant term.  The phases read one pass of the
+    digit DP (the levels of dyadic_sums), run only as far as the phase
+    tried needs: levels 0 .. (2r - 1) h + 1 for phase 0, one more for each
+    later phase.
     """
     dec = cyclotomic_cosets(m)
     _check_query(m, a, 0)
     r, h = dec.r, dec.h
-    seq = dyadic_sums(m, a, r * h + r + SYSTEM_OFFSETS[-1])
-    for n0 in SYSTEM_OFFSETS:
-        rows = [
-            [seq[n + (r - q) * h + 1] for q in range(1, r + 1)]
-            for n in range(n0, n0 + r)
-        ]
-        rhs = [-seq[n + r * h + 1] for n in range(n0, n0 + r)]
-        solution = _solve_integer_system(rows, rhs)
-        if solution is None:
-            continue
-        numerators, d = solution
-        if any(v % d for v in numerators):
-            raise NonIntegerCoefficientError(
-                f"m={m}, a={a}, offset {n0}: non-integer solution {numerators} / {d}"
-            )
-        return RecurrenceSpec(
-            m=m,
-            r=r,
-            h=h,
-            coefficients=tuple(v // d for v in numerators),
-        )
+    stream, seq = _dyadic_stream(m, a), []
+    found = 0
+    for s in range(h):
+        seq += islice(stream, s + (2 * r - 1) * h + 2 - len(seq))
+        order, poly = _minimal_polynomial(seq[s + 1 :: h])
+        if order == r:
+            if any(c % poly[0] for c in poly):
+                raise NonIntegerCoefficientError(
+                    f"m={m}, a={a}, phase {s}: non-integer recurrence {poly[1:]} / {poly[0]}"
+                )
+            return RecurrenceSpec(m=m, r=r, h=h,
+                                  coefficients=tuple(c // poly[0] for c in poly[1:]))
+        found = max(found, order)
     raise SingularSystemError(
-        f"m={m}, a={a}: system singular at every offset in {list(SYSTEM_OFFSETS)}"
+        f"m={m}, a={a}: the sums are singular: minimal order {found} of {r}, "
+        f"the largest over all {h} phases"
     )
 
 

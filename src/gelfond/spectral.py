@@ -10,12 +10,14 @@ prod_{k < v_g} (1 - e^{2 pi i beta 2^k}).  Averaging F_{t/m} against the
 character e^{-2 pi i t a / m} over t recovers S(m, a, N) exactly.
 
 newman_sum_explicit and newman_sum_pow2 evaluate that average with integer
-arithmetic only: mod split primes p == 1 (mod m), where an element w of
-order m stands for e^{2 pi i/m}, with enough primes that CRT recovers the
-integer from the bound |S(m, a, N)| <= ceil(N/m).  Nothing is rounded, the
-cost is O(m log N) products mod p per prime with O(log N / 62) primes, and
-the route reads only the bits of N and w, never the digit DP, so it stays
-an independent check on it.
+arithmetic only, modulo the product M of split primes p == 1 (mod m): the
+CRT lift w of an element of order m in every F_p stands for e^{2 pi i/m},
+and the primes are enough that the symmetric residue mod M is the integer,
+by the bound |S(m, a, N)| <= ceil(N/m).  Nothing is rounded.  One pass costs
+O(m log N) products mod M.  Up to PASS_PRIMES primes share a pass, so one
+pass serves every N below about 2^490; a larger N takes one pass per group
+of primes, joined by CRT.  The route reads only the bits of N and w, never
+the digit DP, so it stays an independent check on it.
 
 The doubling orbit of t also yields the coset root spectrum: per coset
 z_j = prod_{t in C_j} (1 - e^{2 pi i t/m}), and the h-step products collapse
@@ -33,7 +35,7 @@ import math
 from typing import NamedTuple
 
 from .cosets import CosetDecomposition, _check_odd_modulus
-from .modular import PRIME_BITS, crt_symmetric, power_table, split_primes
+from .modular import PRIME_BITS, crt_root, crt_symmetric, power_table, split_primes
 from .sums import _check_query
 
 #: Two effective roots closer than this (relatively) count as coincident.
@@ -41,8 +43,15 @@ CLUSTER_RTOL = 1e-8
 
 #: Time of one step (one t, one level of x, one split prime) of the modular
 #: character sum, measured for m from 1 to 10^5 on a 2-CPU Xeon with
-#: Python 3.11.
+#: Python 3.11.  A pass mod the product of k <= PASS_PRIMES primes costs no
+#: more per step than k steps, so the constant stands for the grouped pass.
 EXPLICIT_STEP_NS = 250
+
+#: Split primes whose product is the modulus of one character-sum pass.  A
+#: product mod M costs least per prime near four to eight 62-bit primes, and
+#: per prime about 1.5x that at 16 and 3x at 40 (2-CPU Xeon, Python 3.11),
+#: so a larger x takes one pass per group of this many primes.
+PASS_PRIMES = 8
 
 
 class SpectralRoots(NamedTuple):
@@ -74,8 +83,9 @@ def _bit_terms(m: int, n: int) -> dict[int, tuple[int, int]]:
 
 
 def _character_sum_mod(m: int, a: int, terms: dict, top: int, p: int, w: int) -> int:
-    """S(m, a, n) mod p as (1/m) sum_t w^(-ta) F_t(n), w of order m in F_p
-    standing for e^{2 pi i/m}; `terms` is _bit_terms(m, n), `top` is n's top bit.
+    """S(m, a, n) mod p as (1/m) sum_t w^(-ta) F_t(n), p a product of split
+    primes and w of order m mod each, standing for e^{2 pi i/m}; `terms` is
+    _bit_terms(m, n), `top` is n's top bit.
 
     All m values of t advance level by level together, so one step is one
     product mod p for each t.
@@ -103,23 +113,27 @@ def _sum_bits(m: int, x: int) -> int:
 
 def _explicit_odd(m: int, a: int, x: int) -> int:
     """S(m, a, x) for odd m and x >= 1, exactly, from the character average
-    mod split primes whose product exceeds 2 |S|."""
+    mod split primes whose product exceeds 2 |S|: one pass mod the product
+    of each group of at most PASS_PRIMES of them, joined by CRT."""
     terms = _bit_terms(m, x)
     top = x.bit_length() - 1
+    primes = split_primes(m, _sum_bits(m, x))
+    passes = -(-len(primes) // PASS_PRIMES)
     return crt_symmetric(
-        (_character_sum_mod(m, a, terms, top, p, w), p)
-        for p, w in split_primes(m, _sum_bits(m, x))
+        (_character_sum_mod(m, a, terms, top, modulus, w), modulus)
+        for modulus, w in map(crt_root, (primes[i::passes] for i in range(passes)))
     )
 
 
 def explicit_cost_ns(m: int, x: int) -> int:
     """Predicted time of newman_sum_explicit(m, a, x).
 
-    After the even fold, each split prime costs one step per t for every
-    level of x and again for every set bit.  Each level also pays about four
-    steps of fixed overhead, and the tables about two levels.  The primes
-    are drawn from just below 2^PRIME_BITS, so each carries at least
-    PRIME_BITS - 1 bits, which bounds their count.
+    After the even fold, the passes cost one step per t and per split prime
+    for every level of x and again for every set bit: a pass mod the product
+    of k primes costs at most k steps per t and level.  Each level also pays
+    about four steps of fixed overhead, and the tables about two levels.
+    The primes are drawn from just below 2^PRIME_BITS, so each carries at
+    least PRIME_BITS - 1 bits, which bounds their count.
     """
     _check_query(m, 0, x)
     shift = (m & -m).bit_length() - 1

@@ -21,6 +21,7 @@ class count of the original m.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import islice
 from operator import sub
 from typing import NamedTuple
 
@@ -141,22 +142,28 @@ def newman_sum_dp(m: int, a: int, x: int) -> int:
     return _sums_in_one_pass(m, a, [x])[0]
 
 
-def dyadic_sums(m: int, a: int, n_max: int) -> list[int]:
-    """[S(m, a, 2^n) for n = 0 .. n_max]: level n of one signed-DP pass.
+def _dyadic_stream(m: int, a: int) -> Iterator[int]:
+    """S(m, a, 2^n) for n = 0, 1, ...: level n of one signed-DP pass.
 
-    An even m gives [S(m, a, 1)] + sign * dyadic_sums(m/2, a//2, n_max - 1)
-    by reduce_even, so the pass runs on the odd part of m.
+    An even m yields S(m, a, 1) and then sign * S(m/2, a//2, 2^(n-1)) by
+    reduce_even, so the pass runs on the odd part of m.
     """
-    _check_query(m, a, 0)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    head, sign = [], 1
-    while not m & 1 and len(head) <= n_max:
-        head.append(sign if a == 0 else 0)  # S(m, a, 1)
+    sign = 1
+    while not m & 1:
+        yield sign if a == 0 else 0  # S(m, a, 1)
         if a & 1:
             sign = -sign
         m, a = m >> 1, a >> 1
-    return head + [sign * d[a] for _, d in zip(range(n_max + 1 - len(head)), _levels(m))]
+    for d in _levels(m):
+        yield sign * d[a]
+
+
+def dyadic_sums(m: int, a: int, n_max: int) -> list[int]:
+    """[S(m, a, 2^n) for n = 0 .. n_max] from one pass of _dyadic_stream."""
+    _check_query(m, a, 0)
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    return list(islice(_dyadic_stream(m, a), n_max + 1))
 
 
 def _class_count(m: int, a: int, x: int) -> int:

@@ -413,7 +413,17 @@ def test_recurrence_singular_is_finding_not_failure(capsys):
     result = env["result"]
     assert result["from_sums"] is None
     assert "singular" in result["finding"]
+    assert "minimal order 3 of 4" in result["finding"]
     assert result["verification"]["max_defect"] == 0
+
+
+def test_recurrence_from_sums_reads_a_later_phase(capsys):
+    # the step-1 offset system of (31, 1) was singular; its h-phase 0 has
+    # minimal order 6 of 6
+    result = run_json(capsys, "recurrence", "31", "--a", "1")["result"]
+    assert result["from_sums"] == result["coefficients"]
+    assert result["methods_agree"] is True
+    assert "finding" not in result
 
 
 def test_recurrence_custom_flags(capsys):
@@ -503,6 +513,16 @@ def test_cosets_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "representative,size,elements"
     assert lines[1] == "1,4,1 2 4 8"
+
+
+def test_cosets_csv_decomposes_once(capsys, monkeypatch):
+    calls = []
+    decompose = cli.cyclotomic_cosets
+    monkeypatch.setattr(cli, "cyclotomic_cosets", lambda m: calls.append(m) or decompose(m))
+    code, out, _ = run_cli(capsys, "--format", "csv", "cosets", "63")
+    assert code == 0 and calls == [63]
+    rows = [f"{c[0]},{len(c)},{' '.join(map(str, c))}" for c in decompose(63).cosets]
+    assert out == "\n".join(["representative,size,elements", *rows]) + "\n"
 
 
 def test_csv_rejected_for_scalar_commands(capsys):

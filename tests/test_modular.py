@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -9,6 +10,7 @@ from gelfond.modular import (
     MR_BASES,
     MR_LIMIT,
     PRIME_BITS,
+    crt_root,
     crt_symmetric,
     miller_rabin,
     prime_factors,
@@ -156,3 +158,14 @@ def test_crt_symmetric_recovers_signed_values():
         value = rng.randrange(-(modulus // 2), modulus // 2)
         assert crt_symmetric((value % p, p) for p in primes) == value
     assert crt_symmetric([]) == 0
+
+
+@pytest.mark.parametrize("m", [3, 17, 63])
+def test_crt_root_is_a_root_of_order_m_mod_every_prime(m):
+    primes = split_primes(m, 300)
+    modulus, w = crt_root(primes)
+    assert modulus == math.prod(p for p, _ in primes)
+    assert 2 * abs(w) < modulus
+    for p, w_p in primes:
+        assert w % p == w_p
+    assert crt_root(()) == (1, 0)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from gelfond import (
     verify_recurrence,
 )
 from gelfond import modular, recurrence
-from gelfond.recurrence import _solve_integer_system
+from gelfond.recurrence import _minimal_polynomial
 
 
 def test_coefficients_m17():
@@ -89,10 +90,9 @@ def test_m3_simple_recurrence_all_multipliers():
 
 
 def test_cross_method_equality_small_sweep():
-    # Singular systems are genuine findings: they arise for every residue
-    # when effective roots coincide (eta > 1) and for isolated residues whose
-    # expansion misses a root (e.g. m=27, a=26).  The recurrence itself must
-    # still hold, so verification is the arbiter in those cases.
+    # Singular sums are genuine findings: when effective roots coincide
+    # (eta > 1, here m = 15 and 21) no h-phase reaches minimal order r.  The
+    # recurrence itself must still hold, so verification is the arbiter there.
     singular = []
     for m in range(3, 32, 2):
         spectral = coefficients_spectral(cyclotomic_cosets(m))
@@ -104,8 +104,7 @@ def test_cross_method_equality_small_sweep():
                 verify_recurrence(spectral, a, depth=4, multipliers=(1, 3))
                 continue
             assert sums.coefficients == spectral.coefficients, (m, a)
-    assert singular == [(15, 0), (15, 1), (15, 14), (21, 0), (21, 1), (21, 20),
-                        (27, 26), (31, 1), (31, 30)]
+    assert singular == [(15, 0), (15, 1), (15, 14), (21, 0), (21, 1), (21, 20)]
 
 
 def test_singular_system_reported_for_m15():
@@ -113,10 +112,27 @@ def test_singular_system_reported_for_m15():
         coefficients_from_sums(15, 0)
 
 
-@pytest.mark.parametrize("m,a", [(27, 26), (127, 1)])
-def test_singular_system_reported_for_missed_root(m, a):
-    with pytest.raises(SingularSystemError):
-        coefficients_from_sums(m, a)
+@pytest.mark.parametrize("m,a", [(27, 26), (31, 1), (31, 30), (127, 1)])
+def test_from_sums_recovers_a_residue_with_a_short_phase(m, a):
+    # the step-1 offset systems of these residues were singular, because
+    # they mix h-phases.  Phase 0 has minimal order r for (31, 1) and
+    # (127, 1); it is identically zero for (27, 26) and (31, 30), whose first
+    # phases of order r are 7 and 1.  That phase's polynomial is the spectral one.
+    spectral = coefficients_spectral(cyclotomic_cosets(m))
+    assert coefficients_from_sums(m, a) == spectral
+
+
+def test_from_sums_equals_spectral_or_reports_coincident_roots():
+    for m in range(3, 64, 2):
+        dec = cyclotomic_cosets(m)
+        spectral = coefficients_spectral(dec)
+        coincident = characteristic_roots(dec).eta > 1
+        for a in range(m):
+            if coincident:
+                with pytest.raises(SingularSystemError, match=f"of {dec.r},"):
+                    coefficients_from_sums(m, a)
+            else:
+                assert coefficients_from_sums(m, a) == spectral, (m, a)
 
 
 def test_verification_small_sweep():
@@ -229,41 +245,57 @@ def test_from_sums_validation():
         coefficients_from_sums(8, 1)
 
 
-def _solve_fractions(rows, rhs):
-    """Reference: Gauss-Jordan over Fractions, None if singular."""
-    n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        aug[col] = [v / aug[col][col] for v in aug[col]]
-        for i in range(n):
-            if i != col:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-    return [row[n] for row in aug]
+def _massey_fractions(seq):
+    """Reference: Massey's algorithm over Fractions, (L, [1, c_1, ..., c_L])."""
+    c, prev = [Fraction(1)], [Fraction(1)]
+    length, shift, last = 0, 1, Fraction(1)
+    for n in range(len(seq)):
+        d = sum(c[i] * seq[n - i] for i in range(min(len(c), n + 1)))
+        if d == 0:
+            shift += 1
+            continue
+        old = c
+        c = c + [Fraction(0)] * (shift + len(prev) - len(c))
+        for i, y in enumerate(prev):
+            c[i + shift] -= d / last * y
+        if 2 * length <= n:
+            prev, last, length, shift = old, d, n + 1 - length, 1
+        else:
+            shift += 1
+    assert not any(c[length + 1 :])
+    return length, c[: length + 1]
 
 
-def test_integer_solver_equals_fraction_gauss_jordan():
-    rng = random.Random(7)
-    singular = 0
-    for n in range(1, 9):
-        for trial in range(40):
-            rows = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
-            if trial % 4 == 0 and n > 1:  # a dependent row
-                rows[-1] = [u - 2 * v for u, v in zip(rows[0], rows[1 % (n - 1)])]
-            if trial % 5 == 0:  # a zero leading column forces a row swap or singularity
-                for row in rows[: n // 2 + 1]:
-                    row[0] = 0
-            rhs = [rng.randint(-30, 30) for _ in range(n)]
-            expected = _solve_fractions(rows, rhs)
-            got = _solve_integer_system(rows, rhs)
-            if expected is None:
-                singular += 1
-                assert got is None
-            else:
-                numerators, d = got
-                assert [Fraction(v, d) for v in numerators] == expected
-    assert singular > 20
+def test_minimal_polynomial_equals_fraction_massey():
+    rng = random.Random(13)
+    planted = []
+    cases = [[], [0] * 9, [0, 0, 0, 5], [0, 0, 1, 0, 0, 0]]
+    for trial in range(400):
+        order = rng.randrange(1, 7)
+        poly = [rng.randint(-9, 9) for _ in range(order - 1)] + [rng.choice((-3, -1, 2, 7))]
+        seq = [rng.randint(-20, 20) for _ in range(order)]
+        size = 2 * order + rng.randrange(4)
+        while len(seq) < size:
+            seq.append(-sum(q * v for q, v in zip(poly, reversed(seq))))
+        if trial % 3:
+            planted.append((seq, poly))
+        else:
+            cases.append([0] * rng.randrange(1, 4) + seq)  # leading zeros
+    recovered = 0
+    for seq in cases + [seq for seq, _ in planted]:
+        length, c = _minimal_polynomial(seq)
+        expected_length, expected = _massey_fractions(seq)
+        assert length == expected_length, seq
+        assert [Fraction(v, c[0]) for v in c] == expected, seq
+        assert math.gcd(*c) == 1, seq
+        for n in range(length, len(seq)):
+            assert sum(v * seq[n - i] for i, v in enumerate(c)) == 0, (seq, n)
+    for seq, poly in planted:
+        # 2L terms of an order-L recurrence fix it whenever they reach order L
+        length, c = _minimal_polynomial(seq)
+        if length == len(poly):
+            recovered += 1
+            assert [Fraction(v, c[0]) for v in c[1:]] == poly, seq
+    assert recovered > 0.9 * len(planted)
+    assert _minimal_polynomial([0] * 9) == (0, [1])
+    assert _minimal_polynomial([0, 0, 0, 5]) == (4, [1, 0, 0, 0, -5])

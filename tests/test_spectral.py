@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from gelfond import modular, spectral
 from gelfond import (
     characteristic_roots,
     cyclotomic_cosets,
@@ -55,6 +56,24 @@ def test_explicit_equals_dp_random_large():
         a = rng.randrange(m)
         x = rng.getrandbits(bits) | 1 << (bits - 1)
         assert newman_sum_explicit(m, a, x) == newman_sum_dp(m, a, x), (m, a, bits)
+
+
+def test_explicit_passes_group_the_split_primes(monkeypatch):
+    # a 1000-bit x needs 17 split primes: one pass per group of k or fewer
+    m, a, x = 5, 3, (1 << 1000) + 12345
+    expected = newman_sum_dp(m, a, x)
+    primes = modular.split_primes(m, spectral._sum_bits(m, x))
+    assert len(primes) == 17
+    moduli = []
+    one_pass = spectral._character_sum_mod
+    monkeypatch.setattr(spectral, "_character_sum_mod",
+                        lambda *args: moduli.append(args[4]) or one_pass(*args))
+    for k, passes in ((1, 17), (3, 6), (spectral.PASS_PRIMES, 3), (17, 1)):
+        monkeypatch.setattr(spectral, "PASS_PRIMES", k)
+        moduli.clear()
+        assert newman_sum_explicit(m, a, x) == expected, k
+        assert len(moduli) == passes, k
+        assert math.prod(moduli) == math.prod(p for p, _ in primes)
 
 
 def test_explicit_leaves_mpmath_unloaded():
