@@ -4,8 +4,8 @@ the exact remainder exponent of Gelfond's digit theorem in the binary case.
 
 Every quantity is computable by at least two independent routes (direct
 enumeration, digit DP, character sums mod split primes, root products
-expanded mod split primes, exact integer linear algebra) and the test suite
-insists the routes agree exactly.
+expanded mod split primes, Berlekamp-Massey over exact sums) and the test
+suite insists the routes agree exactly.
 """
 
 from .cosets import (
@@ -56,7 +56,6 @@ from .spectral import (
     SpectralRoots,
     characteristic_roots,
     newman_sum_explicit,
-    newman_sum_pow2,
 )
 from .sums import (
     ENUMERATION_CAP,
@@ -115,7 +114,6 @@ __all__ = [
     "newman_sum_dp",
     "newman_sum_enumerate",
     "newman_sum_explicit",
-    "newman_sum_pow2",
     "parity_counts",
     "reduce_even",
     "scan_primes",

@@ -398,7 +398,21 @@ def _int(text: str) -> int:
     return int(text)
 
 
-_int.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+def _nonnegative_int(text: str) -> int:
+    value = _int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def _int_list(text: str) -> list[int]:
+    return [_int(v) for v in text.split(",")]
+
+
+# argparse names each type in "invalid <name> value: ..."
+_int.__name__ = "int"
+_nonnegative_int.__name__ = "non-negative int"
+_int_list.__name__ = "comma-separated int"
 
 _M = (("m",), {"type": _int})
 _A = (("a",), {"type": _int})
@@ -427,8 +441,7 @@ _COMMANDS = {
     "recurrence": (_cmd_recurrence, "integer recurrence coefficients + check", [
         _M,
         (("--depth",), {"type": _int, "default": 8}),
-        (("--multipliers",), {"type": lambda s: [_int(v) for v in s.split(",")],
-                              "default": [1, 3, 5]}),
+        (("--multipliers",), {"type": _int_list, "default": [1, 3, 5]}),
         (("--a",), {"type": _int, "default": 0}),
     ]),
     "classify": (_cmd_classify, "primitive/semiprimitive root status of 2", [
@@ -479,7 +492,7 @@ def _top_parser(listing: bool = False) -> argparse.ArgumentParser:
                             dest=argparse.SUPPRESS, default=argparse.SUPPRESS,
                             help="show this help message and exit")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument("--precision", type=_int, default=8,
+    parser.add_argument("--precision", type=_nonnegative_int, default=8,
                         help="decimal digits for real numbers (default 8)")
     if listing:
         sub = parser.add_subparsers(dest="command", required=True)

@@ -9,15 +9,17 @@ each set bit contributes a signed phase times the product
 prod_{k < v_g} (1 - e^{2 pi i beta 2^k}).  Averaging F_{t/m} against the
 character e^{-2 pi i t a / m} over t recovers S(m, a, N) exactly.
 
-newman_sum_explicit and newman_sum_pow2 evaluate that average with integer
-arithmetic only, modulo the product M of split primes p == 1 (mod m): the
-CRT lift w of an element of order m in every F_p stands for e^{2 pi i/m},
-and the primes are enough that the symmetric residue mod M is the integer,
-by the bound |S(m, a, N)| <= ceil(N/m).  Nothing is rounded.  One pass costs
-O(m log N) products mod M.  Up to PASS_PRIMES primes share a pass, so one
-pass serves every N below about 2^490; a larger N takes one pass per group
-of primes, joined by CRT.  The route reads only the bits of N and w, never
-the digit DP, so it stays an independent check on it.
+newman_sum_explicit evaluates that average with integer arithmetic only,
+modulo the product M of split primes p == 1 (mod m): the CRT lift w of an
+element of order m in every F_p stands for e^{2 pi i/m}, and the primes are
+enough that the symmetric residue mod M is the integer, by the bound
+|S(m, a, N)| <= ceil(N/m).  Nothing is rounded.  One pass costs O(m log N)
+products mod M.  Up to PASS_PRIMES primes share a pass, so one pass serves
+every N below about 2^490; a larger N takes one pass per group of primes,
+joined by CRT.  An even m = 2^k m' is folded to its odd part in closed form
+by sums._odd_query, and the blocks P_g are those of sums._set_bits, the
+split the DP reads too.  Past that shared front end the route reads only the
+bits of N and w, never the digit DP, so it stays an independent check on it.
 
 The doubling orbit of t also yields the coset root spectrum: per coset
 z_j = prod_{t in C_j} (1 - e^{2 pi i t/m}), and the h-step products collapse
@@ -34,9 +36,9 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .cosets import CosetDecomposition, _check_odd_modulus
+from .cosets import CosetDecomposition
 from .modular import PRIME_BITS, crt_root, crt_symmetric, power_table, split_primes
-from .sums import _check_query
+from .sums import _check_query, _odd_query, _set_bits
 
 #: Two effective roots closer than this (relatively) count as coincident.
 CLUSTER_RTOL = 1e-8
@@ -65,27 +67,12 @@ class SpectralRoots(NamedTuple):
     eta: int                              # largest cluster of coincident Z_j
 
 
-def _bit_terms(m: int, n: int) -> dict[int, tuple[int, int]]:
-    """The closed form of F_{t/m}(n) over the set bits v_0 > v_1 > ... of n:
-
-        F_{t/m}(n) = sum_g (-1)^g e^{2 pi i t P_g / m} F_{t/m}(2^{v_g}),
-
-    with P_g = 2^{v_0} + ... + 2^{v_{g-1}}.  Maps each v_g to ((-1)^g, P_g mod m).
-    """
-    terms = {}
-    prefix, sign = 0, 1
-    for v in range(n.bit_length() - 1, -1, -1):
-        if n >> v & 1:
-            terms[v] = (sign, prefix)
-            prefix = (prefix + pow(2, v, m)) % m
-            sign = -sign
-    return terms
-
-
 def _character_sum_mod(m: int, a: int, terms: dict, top: int, p: int, w: int) -> int:
     """S(m, a, n) mod p as (1/m) sum_t w^(-ta) F_t(n), p a product of split
-    primes and w of order m mod each, standing for e^{2 pi i/m}; `terms` is
-    _bit_terms(m, n), `top` is n's top bit.
+    primes and w of order m mod each, standing for e^{2 pi i/m}.  `terms`
+    maps each set bit v of n to (-1)^s(P) and P mod m, P the bits of n above
+    v, as _set_bits(m, n) gives them; `top` is n's top bit.  Then
+    F_t(n) = sum over v of (-1)^s(P) w^(t P) F_t(2^v).
 
     All m values of t advance level by level together, so one step is one
     product mod p for each t.
@@ -111,20 +98,6 @@ def _sum_bits(m: int, x: int) -> int:
     return (-(-x // m)).bit_length() + 1
 
 
-def _explicit_odd(m: int, a: int, x: int) -> int:
-    """S(m, a, x) for odd m and x >= 1, exactly, from the character average
-    mod split primes whose product exceeds 2 |S|: one pass mod the product
-    of each group of at most PASS_PRIMES of them, joined by CRT."""
-    terms = _bit_terms(m, x)
-    top = x.bit_length() - 1
-    primes = split_primes(m, _sum_bits(m, x))
-    passes = -(-len(primes) // PASS_PRIMES)
-    return crt_symmetric(
-        (_character_sum_mod(m, a, terms, top, modulus, w), modulus)
-        for modulus, w in map(crt_root, (primes[i::passes] for i in range(passes)))
-    )
-
-
 def explicit_cost_ns(m: int, x: int) -> int:
     """Predicted time of newman_sum_explicit(m, a, x).
 
@@ -136,53 +109,33 @@ def explicit_cost_ns(m: int, x: int) -> int:
     least PRIME_BITS - 1 bits, which bounds their count.
     """
     _check_query(m, 0, x)
-    shift = (m & -m).bit_length() - 1
-    m, x = m >> shift, x >> shift
+    _, m, _, k, _ = _odd_query(m, 0)
+    x >>= k
     primes = _sum_bits(m, x) // (PRIME_BITS - 1) + 1
     return EXPLICIT_STEP_NS * (m + 4) * (x.bit_length() + x.bit_count() + 2) * primes
 
 
 def newman_sum_explicit(m: int, a: int, x: int) -> int:
     """S(m, a, x) via the character average of F_{t/m}(x), evaluated exactly
-    mod split primes and recovered by CRT.
+    mod split primes whose product exceeds 2 |S|: one pass mod the product
+    of each group of at most PASS_PRIMES of them, joined by CRT.
 
-    Even moduli are folded down by the halving identity
-    S(2m', a, 2x') = (-1)^a S(m', a//2, x') (peeling one term when x is odd),
-    so any m >= 1 is accepted; the character average itself runs on odd m.
+    Any m >= 1 is accepted: an even m = 2^k m' is folded by the closed form
+    S(m, a, x) = (-1)^s(a0) S(m', a >> k, (x + 2^k - 1 - a0) >> k) with
+    a0 = a mod 2^k (sums._odd_query), and the character average runs on m'.
     """
     _check_query(m, a, x)
+    sign, m, a, k, pad = _odd_query(m, a)
+    x = (x + pad) >> k
     if x == 0:
         return 0
-    total = 0
-    sign = 1
-    while m % 2 == 0:
-        if x & 1:
-            last = x - 1
-            if last % m == a:
-                total += sign * (-1 if last.bit_count() & 1 else 1)
-            x -= 1
-            if x == 0:
-                return total
-        if a & 1:
-            sign = -sign
-        m //= 2
-        a //= 2
-        x //= 2
-    return total + sign * _explicit_odd(m, a, x)
-
-
-def newman_sum_pow2(m: int, a: int, nu: int) -> int:
-    """S(m, a, 2^nu) via the product formula: the character average of
-    F_{t/m}(2^nu) = prod_{k < nu} (1 - e^{2 pi i t 2^k / m}) (nu >= 1).
-
-    The t = 0 term vanishes exactly when nu >= 1, which is why nu = 0 is
-    rejected.
-    """
-    _check_odd_modulus(m)
-    _check_query(m, a, 0)
-    if nu < 1:
-        raise ValueError(f"newman_sum_pow2 needs nu >= 1, got {nu}")
-    return _explicit_odd(m, a, 1 << nu)
+    terms = {i: (s, prefix) for i, prefix, s in _set_bits(m, x)}
+    primes = split_primes(m, _sum_bits(m, x))
+    passes = -(-len(primes) // PASS_PRIMES)
+    return sign * crt_symmetric(
+        (_character_sum_mod(m, a, terms, x.bit_length() - 1, modulus, w), modulus)
+        for modulus, w in map(crt_root, (primes[i::passes] for i in range(passes)))
+    )
 
 
 def _cluster_max(points: list[complex], rtol: float) -> int:

@@ -8,14 +8,15 @@ where s(n) is the number of 1-bits of n.  Two independent evaluators are
 provided: direct enumeration (the oracle, capped) and a signed digit DP over
 the binary expansion of x.  Everything here is exact integer arithmetic.
 
-An even modulus is first folded to its odd part m' = m >> v2(m) by the
-exact halving identity S(2m', a, 2x') = (-1)^a S(m', a//2, x') of
-reduce_even.  The DP then scans the bits of x least significant first and
-keeps one list of m' signed class sums, so S(m, a, x) costs O(m' log x)
-integer additions with O(m') live integers of at most log x bits.  Level n
-of that pass is S(m', a', 2^n), so dyadic_sums returns every S(m, a, 2^n),
-n <= N, from one pass, and parity_counts is (count +- S) / 2 with the exact
-class count of the original m.
+An even modulus m = 2^k m' is folded to its odd part in closed form: with
+a0 = a mod 2^k, the n == a (mod m) are n = 2^k j + a0, j == a >> k (mod m'),
+with s(n) = s(j) + s(a0), and n < x exactly when j < ceil((x - a0) / 2^k), so
+S(m, a, x) = (-1)^s(a0) S(m', a >> k, (x + 2^k - 1 - a0) >> k).  The DP scans the bits of x least significant first and keeps one list of
+m' signed class sums, so S(m, a, x) costs O(m' log x) integer additions with
+O(m') live integers of at most log x bits.  Level n of that pass is
+S(m', a', 2^n), so dyadic_sums returns every S(m, a, 2^n), n <= N, from one
+pass, and parity_counts is (count +- S) / 2 with the exact class count of
+the original m.
 """
 
 from __future__ import annotations
@@ -87,48 +88,45 @@ def _levels(m: int) -> Iterator[list[int]]:
         pw = 2 * pw % m
 
 
-def _block_terms(m: int, a: int, x: int) -> list[tuple[int, int, int]]:
-    """(i, c, sign) per set bit i of x, least significant first, with
-    S(m, a, x) = sum of sign * D_i[c].
+def _odd_query(m: int, a: int) -> tuple[int, int, int, int, int]:
+    """(sign, m', a', k, pad) with S(m, a, x) = sign * S(m', a', (x + pad) >> k)
+    for every x >= 0: m = 2^k m' with m' odd, a' = a >> k, and with
+    a0 = a mod 2^k, pad = 2^k - 1 - a0 and sign = (-1)^s(a0)."""
+    k = (m & -m).bit_length() - 1
+    a0 = a & ((1 << k) - 1)
+    return -1 if a0.bit_count() & 1 else 1, m >> k, a >> k, k, (1 << k) - 1 - a0
 
-    The n < x that agree with x above a set bit i and have bit i clear are
-    head * 2^(i+1) + t with head = x >> (i+1) and t < 2^i; they contribute
-    (-1)^s(head) * D_i[(a - head * 2^(i+1)) mod m].
+
+def _set_bits(m: int, x: int) -> list[tuple[int, int, int]]:
+    """(i, P mod m, (-1)^s(P)) per set bit i of x, least significant first,
+    where P = (x >> (i+1)) << (i+1) is x with the bits up to i cleared.
+
+    The n < x that agree with x above bit i and have bit i clear are P + t,
+    t < 2^i, so S(m, a, x) = sum of (-1)^s(P) D_i[(a - P) mod m] (the DP),
+    and the character sum reads the phase (P - a) mod m of the same blocks.
     """
-    terms = []
-    c = (a - x) % m  # a - head * 2^(i+1) = a - x + (x mod 2^(i+1))
-    parity = x.bit_count() & 1  # of head, once the bits up to i are dropped
+    out = []
+    p = x % m
+    sign = -1 if x.bit_count() & 1 else 1
     while x:
         i = (x & -x).bit_length() - 1
         x &= x - 1
-        c = (c + pow(2, i, m)) % m
-        parity ^= 1
-        terms.append((i, c, -1 if parity else 1))
-    return terms
+        p = (p - pow(2, i, m)) % m
+        sign = -sign
+        out.append((i, p, sign))
+    return out
 
 
 def _sums_in_one_pass(m: int, a: int, xs: list[int]) -> list[int]:
-    """[S(m, a, x) for x in xs] from a single pass of the signed DP.
-
-    An even modulus is first folded to its odd part by the identity of
-    reduce_even: an odd x peels its last term n = x - 1, then x -> x >> 1,
-    so the pass runs over m >> v2(m) classes and log x - v2(m) levels.
-    """
-    out = [0] * len(xs)
-    sign = 1
-    while not m & 1:
-        for j, x in enumerate(xs):
-            if x & 1 and (x - 1) % m == a:
-                out[j] += sign * (1 - (((x - 1).bit_count() & 1) << 1))
-        xs = [x >> 1 for x in xs]
-        if a & 1:
-            sign = -sign
-        m, a = m >> 1, a >> 1
-    top = max((x.bit_length() for x in xs), default=0)
-    wanted = [[] for _ in range(top)]
+    """[S(m, a, x) for x in xs] from a single pass of the signed DP over the
+    m' classes and the levels of (x + pad) >> k of _odd_query."""
+    sign, m, a, k, pad = _odd_query(m, a)
+    xs = [(x + pad) >> k for x in xs]
+    wanted = [[] for _ in range(max((x.bit_length() for x in xs), default=0))]
     for j, x in enumerate(xs):
-        for i, c, s in _block_terms(m, a, x):
-            wanted[i].append((j, c, sign * s))
+        for i, p, s in _set_bits(m, x):
+            wanted[i].append((j, (a - p) % m, sign * s))
+    out = [0] * len(xs)
     for terms, d in zip(wanted, _levels(m)):
         for j, c, s in terms:
             out[j] += s * d[c]
@@ -143,17 +141,11 @@ def newman_sum_dp(m: int, a: int, x: int) -> int:
 
 
 def _dyadic_stream(m: int, a: int) -> Iterator[int]:
-    """S(m, a, 2^n) for n = 0, 1, ...: level n of one signed-DP pass.
-
-    An even m yields S(m, a, 1) and then sign * S(m/2, a//2, 2^(n-1)) by
-    reduce_even, so the pass runs on the odd part of m.
-    """
-    sign = 1
-    while not m & 1:
-        yield sign if a == 0 else 0  # S(m, a, 1)
-        if a & 1:
-            sign = -sign
-        m, a = m >> 1, a >> 1
+    """S(m, a, 2^n) for n = 0, 1, ...: by _odd_query, sign * S(m', a', 1 or 0)
+    for n < k, then level n - k of one signed-DP pass."""
+    sign, m, a, k, pad = _odd_query(m, a)
+    for n in range(k):
+        yield sign if a == 0 and ((1 << n) + pad) >> k else 0
     for d in _levels(m):
         yield sign * d[a]
 

@@ -1,5 +1,7 @@
+import ast
 import csv
 import importlib
+import inspect
 import io
 import json
 import math
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import gelfond
 import gelfond.cli as cli
 from gelfond import exponent as expo
 from gelfond import newman_sum_dp, newman_sum_enumerate, newman_sum_explicit, parity_counts
@@ -365,6 +368,15 @@ def test_readme_module_table_names_exist():
         missing = [name for name in re.findall(r"`([^`]+)`", contents)
                    if name not in namespace]
         assert missing == [], module
+    # every public function is named in the row of the module gelfond takes it from
+    source = {alias.asname or alias.name: node.module
+              for node in ast.parse(Path(gelfond.__file__).read_text()).body
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    listed = dict(rows)
+    unlisted = [name for name in gelfond.__all__
+                if inspect.isfunction(getattr(gelfond, name))
+                and f"`{name}`" not in listed[source[name]]]
+    assert unlisted == []
 
 
 def test_big_integers_serialize_as_strings(capsys):
@@ -630,3 +642,30 @@ def test_result_payload_deterministic(capsys):
 def test_precision_flag(capsys):
     env = run_json(capsys, "--precision", "3", "alpha", "17")
     assert env["result"]["alpha"] == 0.633
+
+
+@pytest.mark.parametrize("argv", [
+    ["--precision", "-1", "--format", "csv", "table"],
+    ["--precision", "-2", "alpha", "17"],
+])
+def test_negative_precision_is_refused(capsys, argv):
+    code, out, err = run_exit(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f"gelfond: error: argument --precision: invalid non-negative int value: '{argv[1]}'\n"
+    )
+
+
+def test_precision_zero_rounds_to_whole_numbers(capsys):
+    assert run_json(capsys, "--precision", "0", "alpha", "17")["result"]["alpha"] == 1.0
+    code, out, _ = run_cli(capsys, "--precision", "0", "--format", "csv", "table")
+    assert code == 0
+    assert out.startswith("m,alpha,alpha_4dec\n3,1,0.7924\n")
+
+
+def test_bad_multiplier_list_names_its_type(capsys):
+    code, out, err = run_exit(capsys, "recurrence", "17", "--multipliers", "1,,3")
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        "error: argument --multipliers: invalid comma-separated int value: '1,,3'\n"
+    )

@@ -6,14 +6,13 @@ import sys
 
 import pytest
 
-from gelfond import modular, spectral
+from gelfond import modular, spectral, sums
 from gelfond import (
     characteristic_roots,
     cyclotomic_cosets,
     newman_sum_dp,
     newman_sum_enumerate,
     newman_sum_explicit,
-    newman_sum_pow2,
 )
 
 
@@ -86,10 +85,23 @@ def test_explicit_leaves_mpmath_unloaded():
     assert out.strip() == "False"
 
 
+def test_explicit_never_reads_the_dp(monkeypatch):
+    rng = random.Random(18)
+    cases = [(m, rng.randrange(m), rng.getrandbits(300)) for m in (17, 48, 1024, 3 << 20)]
+    expected = [newman_sum_explicit(m, a, x) for m, a, x in cases]
+
+    def refuse(*args):
+        raise AssertionError("the explicit route read the digit DP")
+
+    for name in ("_levels", "_sums_in_one_pass", "_dyadic_stream"):
+        monkeypatch.setattr(sums, name, refuse)
+    assert [newman_sum_explicit(m, a, x) for m, a, x in cases] == expected
+
+
 def test_pow2_known_values():
-    assert newman_sum_pow2(17, 0, 17) == 697
-    assert newman_sum_pow2(17, 0, 2) == 1
-    assert newman_sum_pow2(5, 3, 10) == newman_sum_dp(5, 3, 1 << 10)
+    assert newman_sum_explicit(17, 0, 1 << 17) == 697
+    assert newman_sum_explicit(17, 0, 1 << 2) == 1
+    assert newman_sum_explicit(5, 3, 1 << 10) == newman_sum_dp(5, 3, 1 << 10)
 
 
 def test_pow2_random_matches_dp():
@@ -98,16 +110,12 @@ def test_pow2_random_matches_dp():
         m = rng.choice([3, 5, 7, 9, 11, 15, 21, 63])
         a = rng.randrange(m)
         nu = rng.randrange(1, 301)
-        assert newman_sum_pow2(m, a, nu) == newman_sum_dp(m, a, 1 << nu), (m, a, nu)
+        assert newman_sum_explicit(m, a, 1 << nu) == newman_sum_dp(m, a, 1 << nu), (m, a, nu)
 
 
 def test_pow2_validation():
     with pytest.raises(ValueError):
-        newman_sum_pow2(17, 0, 0)
-    with pytest.raises(ValueError):
-        newman_sum_pow2(4, 0, 3)
-    with pytest.raises(ValueError):
-        newman_sum_pow2(17, 17, 3)
+        newman_sum_explicit(17, 17, 1 << 3)
 
 
 def test_roots_m3():

@@ -16,21 +16,35 @@ from gelfond import (
     newman_sum_explicit,
     reduce_even,
 )
-from gelfond.sums import _block_terms, _levels
+from gelfond.sums import _levels, _set_bits
 
 
 def unfolded_sums(m, a, xs):
     """[S(m, a, x) for x in xs] from one pass over the levels of _levels(m)
-    itself, with no halving of an even m: the reference for the fold."""
+    itself, with no folding of an even m: the reference for the fold."""
     wanted = [[] for _ in range(max(x.bit_length() for x in xs))]
     for j, x in enumerate(xs):
-        for i, c, sign in _block_terms(m, a, x):
-            wanted[i].append((j, c, sign))
+        for i, p, sign in _set_bits(m, x):
+            wanted[i].append((j, (a - p) % m, sign))
     out = [0] * len(xs)
     for terms, d in zip(wanted, _levels(m)):
         for j, c, sign in terms:
             out[j] += sign * d[c]
     return out
+
+
+def halving_sum(m, a, x):
+    """S(m, a, x) by the halving identity of reduce_even, one factor 2 at a
+    time: an odd x peels its last term n = x - 1, then x -> x >> 1 and the
+    sign flips with a's low bit; the odd part goes to newman_sum_dp.  The
+    reference for the closed-form fold."""
+    total, sign = 0, 1
+    while m % 2 == 0:
+        if x & 1 and (x - 1) % m == a:
+            total += sign * (-1 if (x - 1).bit_count() & 1 else 1)
+        m, a, flip = reduce_even(m, a)
+        x, sign = x >> 1, sign * flip
+    return total + sign * newman_sum_dp(m, a, x)
 
 
 def brute_sum(m, a, x):
@@ -166,14 +180,46 @@ def test_folded_dp_equals_unfolded_pass(m):
 
 def test_folded_dp_at_a_large_power_of_two_factor():
     # the unfolded pass over 3 * 2^20 classes is out of reach; the explicit
-    # route folds the modulus in its own loop and sums characters mod primes
+    # route shares the closed-form fold but sums characters mod primes, so
+    # enumeration below 2^26 (about 22 class members) checks the fold itself
     m = 3 << 20
     rng = random.Random(12)
     for a in (0, 5, m - 1, rng.randrange(m)):
         top = rng.getrandbits(1000) | 1 << 999
         for x in (top & ~1, top | 1):
             assert newman_sum_dp(m, a, x) == newman_sum_explicit(m, a, x), (a, x)
+        for x in (a, a + 1, rng.randrange(1 << 26), (1 << 26) - 1):
+            expected = newman_sum_enumerate(m, a, x)
+            assert newman_sum_dp(m, a, x) == expected, (a, x)
+            assert newman_sum_explicit(m, a, x) == expected, (a, x)
     assert dyadic_sums(m, 5, 40) == [newman_sum_explicit(m, 5, 1 << n) for n in range(41)]
+    assert dyadic_sums(m, 5, 25) == [newman_sum_enumerate(m, 5, 1 << n) for n in range(26)]
+
+
+@pytest.mark.parametrize("k", range(21))
+def test_closed_form_fold_equals_the_halving_steps(k):
+    m = (1, 3)[k % 2] << k  # small odd parts keep the 1000-bit explicit sums cheap
+    rng = random.Random(k)
+    top = rng.getrandbits(1000) | 1 << 999
+    for a in sorted({0, 1 % m, (1 << k) - 1, m - 1, rng.randrange(m)}):
+        for x in (top & ~1, top | 1):
+            expected = halving_sum(m, a, x)
+            assert newman_sum_dp(m, a, x) == expected, (a, x)
+            assert newman_sum_explicit(m, a, x) == expected, (a, x)
+        assert dyadic_sums(m, a, k + 3) == [halving_sum(m, a, 1 << n) for n in range(k + 4)], a
+
+
+def test_set_bits_matches_its_definition():
+    rng = random.Random(13)
+    for _ in range(300):
+        m = rng.randrange(1, 200)
+        x = rng.getrandbits(rng.randrange(0, 300))
+        bits = _set_bits(m, x)
+        assert [i for i, _, _ in bits] == [i for i in range(x.bit_length()) if x >> i & 1]
+        for i, p, sign in bits:
+            head = x >> (i + 1)
+            assert p == (head << (i + 1)) % m, (m, x, i)
+            assert sign == (-1) ** head.bit_count(), (m, x, i)
 
 
 def test_dp_memory_is_linear_in_m():
