@@ -136,6 +136,8 @@ def _alpha_report_payload(report, args):
 
 
 def _cmd_alpha(args):
+    if args.m < 1:
+        raise ValueError(f"modulus must be >= 1, got m={args.m}")
     if args.m % 2 == 0:
         report = expo.alpha_even(args.m, full_range=args.full_range)
         payload = _alpha_report_payload(report, args)

@@ -45,19 +45,63 @@ class ExponentReport(NamedTuple):
     bounded: bool = False  # power-of-two modulus: partial sums stay in {0, 1}
 
 
+def _log_sine(t: int, m: int) -> float:
+    """ln|sin(pi t/m)|, the one formula for every orbit term."""
+    return math.log(abs(math.sin(math.pi * t / m)))
+
+
+def _log_sines(m: int) -> list[float]:
+    """ln|sin(pi t/m)| for t = 1, ..., m-1."""
+    return [_log_sine(t, m) for t in range(1, m)]
+
+
+def _orbit_exponent(orbit: tuple[int, ...], m: int, h: int) -> float:
+    """1 + (1/(h ln 2)) sum_{k<h} ln|sin(pi l 2^k/m)| for the doubling orbit
+    l, 2l, ... of l mod m: its terms repeat h/len(orbit) times, added in
+    walk order."""
+    terms = [_log_sine(u, m) for u in orbit]
+    acc = 0.0
+    for _ in range(h // len(orbit)):
+        for term in terms:
+            acc += term
+    return 1.0 + acc / (h * math.log(2))
+
+
 def alpha_for_rep(m: int, l: int) -> float:
     """The per-residue exponent; the sine arguments l*2^k are reduced mod m
     as integers, so no argument is ever spoiled for large k."""
     _check_odd_modulus(m)
     if not 1 <= l <= m - 1:
         raise ValueError(f"representative must satisfy 1 <= l <= m-1, got {l}")
-    h = multiplicative_order(2, m)
-    acc = 0.0
-    u = l
-    for _ in range(h):
-        acc += math.log(abs(math.sin(math.pi * u / m)))
+    orbit = [l]
+    u = 2 * l % m
+    while u != l:
+        orbit.append(u)
         u = 2 * u % m
-    return 1.0 + acc / (h * math.log(2))
+    return _orbit_exponent(tuple(orbit), m, multiplicative_order(2, m))
+
+
+def _full_range_max(m: int) -> float:
+    """max over l in [1, m-1] of alpha_for_rep(m, l), from its own
+    h = ord_m(2) and one table of ln|sin(pi t/m)|.
+
+    The orbit sums S_k(l) = sum_{i<k} ln|sin(pi l 2^i/m)| are built by binary
+    splitting, S_{2k}(l) = S_k(l) + S_k(l 2^k mod m) and
+    S_{k+1}(l) = S_k(l) + S_1(l 2^k mod m), one pass over l per bit of h: m
+    logarithms and O(m log h) additions in place of m h of each.
+    """
+    h = multiplicative_order(2, m)
+    ones = [0.0, *_log_sines(m)]  # S_1, by l; slot 0 stays apart, 0 * c = 0
+    sums, k = ones, 1
+    for bit in bin(h)[3:]:
+        c = pow(2, k, m)
+        sums = [s + sums[l * c % m] for l, s in enumerate(sums)]
+        k *= 2
+        if bit == "1":
+            c = pow(2, k, m)
+            sums = [s + ones[l * c % m] for l, s in enumerate(sums)]
+            k += 1
+    return 1.0 + max(sums[1:]) / (h * math.log(2))
 
 
 def _closed_prime(p: int) -> float:
@@ -79,15 +123,18 @@ def _closed_form(m: int) -> float | None:
 def alpha(m: int, full_range: bool = False) -> ExponentReport:
     """Exact exponent for odd m >= 3.
 
-    Evaluates one representative per cyclotomic coset; with full_range=True
-    additionally sweeps every l in [1, m-1] (O(m*h) work) and insists the two
-    maxima agree to 1e-9.
+    Evaluates one representative per cyclotomic coset, walking each coset
+    once; with full_range=True additionally sweeps every l in [1, m-1]
+    (m logarithms and O(m log h) additions, independent of the cosets) and
+    insists the two maxima agree to 1e-9.
     """
     dec = cyclotomic_cosets(m)
-    per_rep = tuple((rep, alpha_for_rep(m, rep)) for rep in dec.representatives)
+    per_rep = tuple(
+        (coset[0], _orbit_exponent(coset, m, dec.h)) for coset in dec.cosets
+    )
     best = max(per_rep, key=lambda item: item[1])
     if full_range:
-        full_max = max(alpha_for_rep(m, l) for l in range(1, m))
+        full_max = _full_range_max(m)
         if abs(full_max - best[1]) > 1e-9:
             raise ArithmeticError(
                 f"representative maximum {best[1]!r} disagrees with full-range "
@@ -118,7 +165,7 @@ def alpha_closed_prime(p: int) -> float:
             f"2 is neither a primitive nor a semiprimitive root of {p} "
             f"(class {cls.classification})"
         )
-    log_prod = sum(math.log(math.sin(math.pi * l / p)) for l in range(1, p))
+    log_prod = sum(_log_sines(p))
     log_closed = math.log(p) - (p - 1) * math.log(2)
     rel_err = abs(math.expm1(log_prod - log_closed))
     if rel_err > 1e-10:

@@ -164,12 +164,11 @@ def characteristic_roots(dec: CosetDecomposition) -> SpectralRoots:
     """Per-coset roots z_j, effective roots Z_j, dominant magnitude and
     multiplicity of the h-step recurrence spectrum."""
     m = dec.m
-    table = [cmath.exp(2j * math.pi * t / m) for t in range(m)]
     roots = []
     for coset in dec.cosets:
         z = 1 + 0j
         for t in coset:
-            z *= 1 - table[t]
+            z *= 1 - cmath.exp(2j * math.pi * t / m)
         roots.append(z)
     effective = [z ** (dec.h // size) for z, size in zip(roots, dec.sizes)]
     magnitudes = tuple(abs(z) ** (1.0 / dec.h) for z in effective)

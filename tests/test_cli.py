@@ -93,6 +93,13 @@ def test_alpha_even_full_range_sweeps_the_odd_part(capsys, monkeypatch):
     assert len(calls) == 2
 
 
+def test_alpha_refuses_moduli_below_one(capsys):
+    for m in ("0", "-3"):
+        code, out, err = run_cli(capsys, "alpha", m)
+        assert (code, out) == (2, ""), m
+        assert err == f"error: modulus must be >= 1, got m={m}\n"
+
+
 def test_sum_all_methods(capsys):
     env = run_json(capsys, "sum", "17", "0", "131072", "--method", "all")
     result = env["result"]

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import pytest
 
+from gelfond import exponent
 from gelfond import (
     LAMBDA,
     alpha,
@@ -64,9 +66,63 @@ def test_alpha_validation():
 
 
 def test_full_range_mode_agrees():
-    for m in (9, 15, 17, 21, 47):
+    # 1091 and 4099 are primes with 2 primitive, as in the benchmark's pool
+    for m in (9, 15, 17, 21, 47, 1091, 4099):
         report = alpha(m, full_range=True)
         assert report.alpha == alpha(m).alpha
+
+
+def test_full_range_sweep_equals_naive_max():
+    for m in range(3, 300, 2):
+        naive = max(alpha_for_rep(m, l) for l in range(1, m))
+        assert exponent._full_range_max(m) == pytest.approx(naive, abs=1e-12), m
+
+
+def test_full_range_sweep_catches_a_missing_coset(monkeypatch):
+    real = exponent.cyclotomic_cosets
+
+    def without_argmax(m):
+        dec = real(m)
+        kept = [c for c in dec.cosets if 3 not in c]  # the argmax coset of 17
+        return dec._replace(cosets=tuple(kept), representatives=tuple(c[0] for c in kept),
+                            sizes=tuple(map(len, kept)), r=len(kept))
+
+    monkeypatch.setattr(exponent, "cyclotomic_cosets", without_argmax)
+    assert alpha(17).argmax_rep == 1  # the coset route alone cannot tell
+    with pytest.raises(ArithmeticError):
+        alpha(17, full_range=True)
+
+
+@pytest.fixture(scope="module")
+def traced_65537():
+    """alpha(65537) and the tracemalloc peak of computing it."""
+    tracemalloc.start()
+    try:
+        report = alpha(65537)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return report, peak
+
+
+def _per_rep_by_alpha_for_rep(report):
+    return tuple((rep, alpha_for_rep(report.m, rep)) for rep, _ in report.per_rep)
+
+
+def test_per_rep_equals_alpha_for_rep_exactly(traced_65537):
+    for m in [*range(3, 300, 2), 4095]:
+        report = alpha(m)
+        assert [rep for rep, _ in report.per_rep] == list(cyclotomic_cosets(m).representatives)
+        assert report.per_rep == _per_rep_by_alpha_for_rep(report), m
+    report, _ = traced_65537
+    assert report.per_rep == _per_rep_by_alpha_for_rep(report)
+
+
+def test_alpha_keeps_no_modulus_sized_table(traced_65537):
+    # the cosets of 65537 alone take about 2.5 MiB; an m-entry table of
+    # complex roots or log-sines added another 2.5 MiB
+    _, peak = traced_65537
+    assert peak < 4.5 * 2**20
 
 
 def test_alpha_constant_on_cosets():

@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import random
@@ -141,6 +142,31 @@ def test_roots_coincide_for_eta_cases():
     assert sorted(round(z.real) for z in spec15.effective_roots) == [-1, -1, 5, 9]
     # m=45 piles four effective roots at -1
     assert characteristic_roots(cyclotomic_cosets(45)).eta == 4
+
+
+def _table_roots(dec):
+    """characteristic_roots as it was with an m-entry table of e^{2 pi i t/m}."""
+    m = dec.m
+    table = [cmath.exp(2j * math.pi * t / m) for t in range(m)]
+    roots = []
+    for coset in dec.cosets:
+        z = 1 + 0j
+        for t in coset:
+            z *= 1 - table[t]
+        roots.append(z)
+    effective = [z ** (dec.h // size) for z, size in zip(roots, dec.sizes)]
+    magnitudes = tuple(abs(z) ** (1.0 / dec.h) for z in effective)
+    return spectral.SpectralRoots(
+        m=m, h=dec.h, representatives=dec.representatives, roots=tuple(roots),
+        effective_roots=tuple(effective), magnitudes=magnitudes, v=max(magnitudes),
+        eta=spectral._cluster_max(effective, spectral.CLUSTER_RTOL),
+    )
+
+
+def test_roots_equal_the_table_oracle_exactly():
+    for m in [*range(3, 300, 2), 65537]:
+        dec = cyclotomic_cosets(m)
+        assert characteristic_roots(dec) == _table_roots(dec), m
 
 
 def test_root_product_equals_modulus():
