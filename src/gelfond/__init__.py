@@ -19,7 +19,6 @@ from .cosets import (
     is_prime,
     multiplicative_order,
     scan_primes,
-    scan_semiprimitive,
 )
 from .empirical import (
     BlockSup,
@@ -38,7 +37,6 @@ from .exponent import (
     ExponentReport,
     alpha,
     alpha_closed_prime,
-    alpha_even,
     alpha_for_rep,
 )
 from .recurrence import (
@@ -66,7 +64,6 @@ from .sums import (
     newman_sum_dp,
     newman_sum_enumerate,
     parity_counts,
-    reduce_even,
 )
 
 __version__ = "0.1.0"
@@ -95,7 +92,6 @@ __all__ = [
     "VerificationReport",
     "alpha",
     "alpha_closed_prime",
-    "alpha_even",
     "alpha_for_rep",
     "characteristic_roots",
     "classify_prime",
@@ -115,9 +111,7 @@ __all__ = [
     "newman_sum_enumerate",
     "newman_sum_explicit",
     "parity_counts",
-    "reduce_even",
     "scan_primes",
-    "scan_semiprimitive",
     "simple_prime_c1",
     "verify_recurrence",
 ]

@@ -17,7 +17,7 @@ import time
 
 from . import empirical as emp
 from . import exponent as expo
-from .cosets import _odd_part, classify_prime, cyclotomic_cosets, scan_primes
+from .cosets import classify_prime, cyclotomic_cosets, scan_primes
 from .recurrence import (
     SingularSystemError,
     coefficients_from_sums,
@@ -28,6 +28,7 @@ from .spectral import explicit_cost_ns, newman_sum_explicit
 from .sums import (
     ENUMERATION_CAP,
     _check_query,
+    _odd_query,
     newman_sum_dp,
     newman_sum_enumerate,
     parity_counts,
@@ -136,21 +137,17 @@ def _alpha_report_payload(report, args):
 
 
 def _cmd_alpha(args):
-    if args.m < 1:
-        raise ValueError(f"modulus must be >= 1, got m={args.m}")
-    if args.m % 2 == 0:
-        report = expo.alpha_even(args.m, full_range=args.full_range)
-        payload = _alpha_report_payload(report, args)
+    report = expo.alpha(args.m, full_range=args.full_range)
+    payload = _alpha_report_payload(report, args)
+    if report.m != args.m:  # the report describes the odd part
         payload["odd_part"] = report.m
         payload["m"] = args.m
-        return payload
-    report = expo.alpha(args.m, full_range=args.full_range)
-    return _alpha_report_payload(report, args)
+    return payload
 
 
 def _check_dp_work(m: int, x: int) -> None:
-    k = (m & -m).bit_length() - 1  # m >= 1, checked by the caller
-    work = (m >> k) * (x >> k).bit_length()
+    _, odd, _, k, _ = _odd_query(m, 0)  # m >= 1, checked by the caller
+    work = odd * (x >> k).bit_length()
     if work > MAX_DP_WORK:
         raise ValueError(
             f"odd part of m times bit_length(x >> v2(m)) = {work} exceeds "
@@ -297,8 +294,7 @@ def _cmd_empirical(args):
     _check_query(args.m, args.a, 0)
     _check_profile_cost(args.m, args.max_exp)
     profile = emp.dyadic_profile(args.m, args.a, args.max_exp)
-    odd = _odd_part(args.m)
-    alpha_ref = expo.alpha(odd).alpha if odd >= 3 else 0.0
+    report = expo.alpha(args.m)
     remainder = emp.gelfond_remainder_check(
         args.m, args.a, min(args.max_exp, emp.REMAINDER_MAX_EXP)
     )
@@ -306,7 +302,7 @@ def _cmd_empirical(args):
         "m": args.m,
         "a": args.a,
         "max_exp": args.max_exp,
-        "alpha": alpha_ref,
+        "alpha": report.alpha,
         "remainder": {
             "max_ratio": remainder.max_ratio,
             "argmax_nu": remainder.argmax_nu,
@@ -326,9 +322,9 @@ def _cmd_empirical(args):
             "residual": fit.residual,
             "window": list(fit.window),
         }
-    if odd >= 3:
+    if not report.bounded:
         try:
-            env = emp.envelope_check(profile, alpha_ref)
+            env = emp.envelope_check(profile, report.alpha)
         except ValueError as exc:
             result["envelope"] = {"skipped": str(exc)}
         else:

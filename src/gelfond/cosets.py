@@ -40,11 +40,6 @@ class PrimeClassification(NamedTuple):
     minus_one_solvable: bool
 
 
-def _odd_part(m: int) -> int:
-    """m with every factor 2 removed, for m >= 1."""
-    return m >> ((m & -m).bit_length() - 1)
-
-
 def _check_odd_modulus(m: int) -> None:
     if m < 3 or m % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 3, got m={m}")
@@ -168,8 +163,3 @@ def scan_primes(limit: int, classification: str) -> list[int]:
         if _classify(p, factors).classification == classification:
             out.append(p)
     return out
-
-
-def scan_semiprimitive(limit: int) -> list[int]:
-    """All odd primes p <= limit for which 2 is a semiprimitive root."""
-    return scan_primes(limit, SEMIPRIMITIVE)

@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .cosets import _odd_part, multiplicative_order
+from .cosets import multiplicative_order
 from .exponent import LAMBDA
-from .sums import _check_query, _class_count, _levels, dyadic_sums
+from .sums import _check_query, _class_count, _levels, _odd_part, dyadic_sums
 
 #: Profiles are capped here; every float of the fit and envelope stays finite.
 PROFILE_MAX_EXP = 256

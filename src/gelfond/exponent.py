@@ -9,7 +9,8 @@ over coset representatives (the k-sum traverses the doubling orbit of l).
 alpha(m) always equals log2 of the dominant root magnitude v of the
 spectral module, and collapses to closed forms in special cases:
 ln3/ln4 whenever 3 | m, and ln p / ((p-1) ln 2) for primes where 2 is a
-primitive or semiprimitive root.
+primitive or semiprimitive root.  An even m has the exponent of its odd
+part; a power of two, m = 1 included, has bounded partial sums.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from .cosets import (
     PRIMITIVE,
     SEMIPRIMITIVE,
     _check_odd_modulus,
-    _odd_part,
     classify_prime,
     cyclotomic_cosets,
     is_prime,
     multiplicative_order,
 )
 from .spectral import characteristic_roots
+from .sums import _odd_part
 
 #: Gelfond's universal remainder exponent ln 3 / ln 4.
 LAMBDA = math.log(3) / math.log(4)
@@ -42,7 +43,7 @@ class ExponentReport(NamedTuple):
     closed_form: float | None
     lam: float
     log2_v: float | None
-    bounded: bool = False  # power-of-two modulus: partial sums stay in {0, 1}
+    bounded: bool = False  # power-of-two modulus: partial sums stay in {-1, 0, 1}
 
 
 def _log_sine(t: int, m: int) -> float:
@@ -121,13 +122,29 @@ def _closed_form(m: int) -> float | None:
 
 
 def alpha(m: int, full_range: bool = False) -> ExponentReport:
-    """Exact exponent for odd m >= 3.
+    """Exact exponent for m >= 1, reported on the odd part m' of m.
 
-    Evaluates one representative per cyclotomic coset, walking each coset
-    once; with full_range=True additionally sweeps every l in [1, m-1]
-    (m logarithms and O(m log h) additions, independent of the cosets) and
-    insists the two maxima agree to 1e-9.
+    The even fold of sums._odd_query keeps the growth exponent.  For m' = 1
+    the partial sums stay in {-1, 0, 1} and the report is `bounded`.  Else
+    one representative per cyclotomic coset of m' is evaluated, walking each
+    coset once; with full_range=True every l in [1, m'-1] is swept as well
+    (m' logarithms and O(m' log h) additions, independent of the cosets) and
+    the two maxima must agree to 1e-9.
     """
+    if m < 1:
+        raise ValueError(f"modulus must be >= 1, got m={m}")
+    m = _odd_part(m)
+    if m == 1:
+        return ExponentReport(
+            m=1,
+            per_rep=(),
+            alpha=0.0,
+            argmax_rep=None,
+            closed_form=None,
+            lam=LAMBDA,
+            log2_v=None,
+            bounded=True,
+        )
     dec = cyclotomic_cosets(m)
     per_rep = tuple(
         (coset[0], _orbit_exponent(coset, m, dec.h)) for coset in dec.cosets
@@ -173,24 +190,3 @@ def alpha_closed_prime(p: int) -> float:
             f"sine-product identity violated at p={p}: relative error {rel_err:.3e}"
         )
     return _closed_prime(p)
-
-
-def alpha_even(m: int, full_range: bool = False) -> ExponentReport:
-    """Strip factors of 2 (each halving preserves the growth exponent) and
-    report on the odd part, as alpha(odd part, full_range) does; a pure power
-    of two has bounded partial sums."""
-    if m < 2 or m % 2:
-        raise ValueError(f"alpha_even needs an even modulus >= 2, got m={m}")
-    odd = _odd_part(m)
-    if odd == 1:
-        return ExponentReport(
-            m=1,
-            per_rep=(),
-            alpha=0.0,
-            argmax_rep=None,
-            closed_form=None,
-            lam=LAMBDA,
-            log2_v=None,
-            bounded=True,
-        )
-    return alpha(odd, full_range)

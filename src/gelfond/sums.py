@@ -88,6 +88,11 @@ def _levels(m: int) -> Iterator[list[int]]:
         pw = 2 * pw % m
 
 
+def _odd_part(m: int) -> int:
+    """m with every factor 2 removed, for m >= 1."""
+    return m >> ((m & -m).bit_length() - 1)
+
+
 def _odd_query(m: int, a: int) -> tuple[int, int, int, int, int]:
     """(sign, m', a', k, pad) with S(m, a, x) = sign * S(m', a', (x + pad) >> k)
     for every x >= 0: m = 2^k m' with m' odd, a' = a >> k, and with
@@ -170,15 +175,3 @@ def parity_counts(m: int, a: int, x: int) -> ParityCount:
     s = _sums_in_one_pass(m, a, [x])[0]
     count = _class_count(m, a, x)
     return ParityCount((count + s) // 2, (count - s) // 2)
-
-
-def reduce_even(m: int, a: int) -> tuple[int, int, int]:
-    """Halving step for even moduli.
-
-    Returns (m', a', sign) = (m/2, a//2, (-1)^a) with
-    S(m, a, 2x) = sign * S(m', a', x) for every x.
-    """
-    if m < 2 or m % 2:
-        raise ValueError(f"reduce_even needs an even modulus >= 2, got m={m}")
-    _check_query(m, a, 0)
-    return m // 2, a // 2, -1 if a & 1 else 1

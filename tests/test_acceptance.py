@@ -13,6 +13,7 @@ import time
 import gelfond.cli as cli
 from gelfond import (
     LAMBDA,
+    SEMIPRIMITIVE,
     SingularSystemError,
     alpha,
     alpha_closed_prime,
@@ -26,8 +27,7 @@ from gelfond import (
     newman_sum_dp,
     newman_sum_enumerate,
     newman_sum_explicit,
-    reduce_even,
-    scan_semiprimitive,
+    scan_primes,
     verify_recurrence,
 )
 
@@ -119,7 +119,7 @@ def test_criterion_04_even_reduction():
         rng = random.Random(42)
         for m in (2, 4, 6, 10, 12, 20):
             for a in range(m):
-                m2, a2, sign = reduce_even(m, a)
+                m2, a2, sign = m // 2, a // 2, -1 if a & 1 else 1
                 for _ in range(100):
                     x = rng.randrange((1 << 12) + 1)
                     lhs = newman_sum_enumerate(m, a, 2 * x)
@@ -144,7 +144,7 @@ def test_criterion_05_closed_forms():
 
 def test_criterion_06_semiprimitive_scan():
     with _Timer(60.0) as t:
-        assert scan_semiprimitive(263) == [7, 23, 47, 71, 79, 103, 167, 191, 199, 239, 263]
+        assert scan_primes(263, SEMIPRIMITIVE) == [7, 23, 47, 71, 79, 103, 167, 191, 199, 239, 263]
     _report(6, t, "semiprimitive scan to 263 returns the 11 published primes")
 
 

@@ -76,21 +76,30 @@ def test_alpha_even_modulus(capsys):
 
 def test_alpha_even_full_range_sweeps_the_odd_part(capsys, monkeypatch):
     calls = []
-    real = expo.alpha
+    real = expo._full_range_max
 
-    def spy(m, full_range=False):
-        calls.append((m, full_range))
-        return real(m, full_range)
+    def spy(m):
+        calls.append(m)
+        return real(m)
 
-    monkeypatch.setattr(expo, "alpha", spy)
+    monkeypatch.setattr(expo, "_full_range_max", spy)
     swept = run_json(capsys, "alpha", "34", "--full-range")
     plain = run_json(capsys, "alpha", "34")
-    assert calls == [(17, True), (17, False)]
+    assert calls == [17]
     assert swept["inputs"]["full_range"] is True
     assert swept["result"] == plain["result"]
     # a power of two has no odd part to sweep
     assert run_json(capsys, "alpha", "8", "--full-range")["result"]["bounded"] is True
-    assert len(calls) == 2
+    assert calls == [17]
+
+
+def test_alpha_one_is_bounded_like_two(capsys):
+    one = run_json(capsys, "alpha", "1")["result"]
+    two = run_json(capsys, "alpha", "2")["result"]
+    assert two.pop("odd_part") == 1 and two.pop("m") == 2
+    assert one.pop("m") == 1
+    assert one == two == {"alpha": 0.0, "argmax_rep": None, "lambda": 0.79248125,
+                          "log2_v": None, "bounded": True}
 
 
 def test_alpha_refuses_moduli_below_one(capsys):
@@ -501,6 +510,13 @@ def test_empirical_json(capsys):
     assert "exponent_estimate" in result["fit"]
     assert "max_ratio" in result["remainder"]
     assert result["envelope"]["upper_violations"] == []
+    # an even m is checked against the exponent of its odd part; a power of
+    # two, m = 1 included, has bounded sums and no envelope to check
+    even = run_json(capsys, "empirical", "6", "1", "--max-exp", "12")["result"]
+    assert even["alpha"] == result["alpha"] and "envelope" in even
+    for m in ("1", "8"):
+        bounded = run_json(capsys, "empirical", m, "0", "--max-exp", "12")["result"]
+        assert bounded["alpha"] == 0 and "envelope" not in bounded, m
 
 
 def test_empirical_shallow_profiles_skip_the_empty_blocks(capsys):

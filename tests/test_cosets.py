@@ -11,7 +11,6 @@ from gelfond import (
     is_prime,
     multiplicative_order,
     scan_primes,
-    scan_semiprimitive,
 )
 from gelfond.cosets import PRIMALITY_BOUND
 
@@ -137,9 +136,9 @@ def test_classification_coset_structure():
 
 
 def test_scan_semiprimitive():
-    assert scan_semiprimitive(263) == SEMIPRIMITIVE_TO_263
-    assert scan_semiprimitive(6) == []
-    assert scan_semiprimitive(50) == [7, 23, 47]
+    assert scan_primes(263, SEMIPRIMITIVE) == SEMIPRIMITIVE_TO_263
+    assert scan_primes(6, SEMIPRIMITIVE) == []
+    assert scan_primes(50, SEMIPRIMITIVE) == [7, 23, 47]
 
 
 def test_scan_primitive_prefix():

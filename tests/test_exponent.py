@@ -8,10 +8,11 @@ from gelfond import (
     LAMBDA,
     alpha,
     alpha_closed_prime,
-    alpha_even,
     alpha_for_rep,
     cyclotomic_cosets,
+    newman_sum_dp,
 )
+from gelfond.exponent import ExponentReport
 
 PRIMITIVE_SAMPLE = [3, 5, 11, 13, 19, 29, 37, 53, 59, 61, 67]
 SEMIPRIMITIVE_SAMPLE = [7, 23, 47, 71, 79, 103]
@@ -59,10 +60,8 @@ def test_alpha_published_values():
 
 
 def test_alpha_validation():
-    with pytest.raises(ValueError):
-        alpha(1)
-    with pytest.raises(ValueError):
-        alpha(10)
+    assert alpha(1).bounded
+    assert alpha(10) == alpha(5)
 
 
 def test_full_range_mode_agrees():
@@ -181,24 +180,45 @@ def test_sine_product_identity_direct():
 
 
 def test_alpha_even_reductions():
-    assert alpha_even(6).alpha == pytest.approx(alpha(3).alpha, abs=1e-15)
-    assert alpha_even(12).alpha == pytest.approx(alpha(3).alpha, abs=1e-15)
-    assert alpha_even(12).m == 3  # report describes the odd part
+    assert alpha(6).alpha == pytest.approx(alpha(3).alpha, abs=1e-15)
+    assert alpha(12).alpha == pytest.approx(alpha(3).alpha, abs=1e-15)
+    assert alpha(12).m == 3  # report describes the odd part
+
+
+def test_alpha_routes_every_modulus_through_its_odd_part():
+    # the reference routing: halve while even, then report on the odd part,
+    # with a bounded report when nothing odd is left
+    bounded = ExponentReport(m=1, per_rep=(), alpha=0.0, argmax_rep=None,
+                             closed_form=None, lam=LAMBDA, log2_v=None, bounded=True)
+    odd_reports = {m: alpha(m) for m in range(3, 1025, 2)}
+    for m in range(1, 1025):
+        odd = m
+        while odd % 2 == 0:
+            odd //= 2
+        assert alpha(m) == odd_reports.get(odd, bounded), m
 
 
 def test_alpha_even_power_of_two_is_bounded():
-    report = alpha_even(4)
+    report = alpha(4)
     assert report.bounded
     assert report.alpha == 0.0
     assert report.per_rep == ()
-    assert alpha_even(2).bounded
+    assert all(alpha(1 << k).bounded for k in range(11))
+    # every partial sum S(2^k, a, x), x < 2^12, lies in {-1, 0, 1}
+    # (S(2, 0, 5) = S(1, 0, 3) = -1), counted from the definition
+    for m in (1, 2, 4, 8, 16):
+        sums = [0] * m
+        for n in range(1 << 12):
+            assert set(sums) <= {-1, 0, 1}, (m, n)  # the sums S(m, a, n)
+            sums[n % m] += -1 if n.bit_count() & 1 else 1
+        assert set(sums) <= {-1, 0, 1}, m
+    assert newman_sum_dp(2, 0, 5) == newman_sum_dp(1, 0, 3) == -1
 
 
 def test_alpha_even_validation():
-    with pytest.raises(ValueError):
-        alpha_even(9)
-    with pytest.raises(ValueError):
-        alpha_even(0)
+    for m in (0, -3, -8):
+        with pytest.raises(ValueError, match=f"modulus must be >= 1, got m={m}$"):
+            alpha(m)
 
 
 def test_alpha_matches_log2_v_sweep():

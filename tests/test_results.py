@@ -18,7 +18,6 @@ from gelfond import (
     SpectralRoots,
     VerificationReport,
     alpha,
-    alpha_even,
     cyclotomic_cosets,
 )
 
@@ -62,7 +61,7 @@ def test_exponent_report_bounded_default():
                             closed_form=None, lam=LAMBDA, log2_v=None)
     assert report.bounded is False
     assert alpha(17).bounded is False
-    assert alpha_even(8).bounded is True
+    assert alpha(8).bounded is True
 
 
 def test_results_compare_equal_to_plain_tuples():

@@ -14,7 +14,6 @@ from gelfond import (
     newman_sum_enumerate,
     parity_counts,
     newman_sum_explicit,
-    reduce_even,
 )
 from gelfond.sums import _levels, _set_bits
 
@@ -34,16 +33,15 @@ def unfolded_sums(m, a, xs):
 
 
 def halving_sum(m, a, x):
-    """S(m, a, x) by the halving identity of reduce_even, one factor 2 at a
-    time: an odd x peels its last term n = x - 1, then x -> x >> 1 and the
-    sign flips with a's low bit; the odd part goes to newman_sum_dp.  The
-    reference for the closed-form fold."""
+    """S(m, a, x) by the halving identity S(m, a, 2x) = (-1)^a S(m/2, a//2, x)
+    for even m, one factor 2 at a time: an odd x peels its last term
+    n = x - 1, then x -> x >> 1 and the sign flips with a's low bit; the odd
+    part goes to newman_sum_dp.  The reference for the closed-form fold."""
     total, sign = 0, 1
     while m % 2 == 0:
         if x & 1 and (x - 1) % m == a:
             total += sign * (-1 if (x - 1).bit_count() & 1 else 1)
-        m, a, flip = reduce_even(m, a)
-        x, sign = x >> 1, sign * flip
+        m, a, x, sign = m // 2, a // 2, x >> 1, -sign if a & 1 else sign
     return total + sign * newman_sum_dp(m, a, x)
 
 
@@ -262,28 +260,6 @@ def test_parity_counts_identities():
         t_even, t_odd = parity_counts(m, a, x)
         assert t_even + t_odd == (x - a + m - 1) // m
         assert t_even - t_odd == newman_sum_dp(m, a, x)
-
-
-def test_reduce_even_mappings():
-    assert reduce_even(6, 3) == (3, 1, -1)
-    assert reduce_even(2, 0) == (1, 0, 1)
-    assert reduce_even(20, 14) == (10, 7, 1)
-    with pytest.raises(ValueError):
-        reduce_even(9, 2)
-    with pytest.raises(ValueError):
-        reduce_even(6, 6)
-
-
-def test_reduce_even_identity_enumerated():
-    rng = random.Random(6)
-    for m in (2, 4, 6, 10, 12, 20):
-        for a in range(m):
-            m2, a2, sign = reduce_even(m, a)
-            for _ in range(12):
-                x = rng.randrange(1 << 12)
-                assert newman_sum_enumerate(m, a, 2 * x) == sign * newman_sum_enumerate(
-                    m2, a2, x
-                ), (m, a, x)
 
 
 def test_gelfond_bound_sanity():
