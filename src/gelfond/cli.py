@@ -15,24 +15,9 @@ import math
 import sys
 import time
 
+from . import cosets, recurrence, spectral, sums
 from . import empirical as emp
 from . import exponent as expo
-from .cosets import classify_prime, cyclotomic_cosets, scan_primes
-from .recurrence import (
-    SingularSystemError,
-    coefficients_from_sums,
-    coefficients_spectral,
-    verify_recurrence,
-)
-from .spectral import explicit_cost_ns, newman_sum_explicit
-from .sums import (
-    ENUMERATION_CAP,
-    _check_query,
-    _odd_query,
-    newman_sum_dp,
-    newman_sum_enumerate,
-    parity_counts,
-)
 
 SCHEMA_VERSION = "1"
 BIG_INT = 1 << 53
@@ -106,7 +91,7 @@ def _truncate(x: float, digits: int) -> str:
 
 
 def _cmd_cosets(args):
-    dec = cyclotomic_cosets(args.m)
+    dec = cosets.cyclotomic_cosets(args.m)
     result = {
         "m": dec.m,
         "r": dec.r,
@@ -146,7 +131,7 @@ def _cmd_alpha(args):
 
 
 def _check_dp_work(m: int, x: int) -> None:
-    _, odd, _, k, _ = _odd_query(m, 0)  # m >= 1, checked by the caller
+    _, odd, _, k, _ = sums._odd_query(m, 0)  # m >= 1, checked by the caller
     work = odd * (x >> k).bit_length()
     if work > MAX_DP_WORK:
         raise ValueError(
@@ -164,7 +149,7 @@ def _check_profile_cost(m: int, max_exp: int) -> None:
 
 
 def _check_explicit_cost(m: int, x: int) -> None:
-    cost = explicit_cost_ns(m, x)
+    cost = spectral.explicit_cost_ns(m, x)
     if cost > MAX_EXPLICIT_NS:
         raise ValueError(
             f"predicted explicit-sum time {cost} ns exceeds the limit {MAX_EXPLICIT_NS} ns"
@@ -173,7 +158,7 @@ def _check_explicit_cost(m: int, x: int) -> None:
 
 def _cmd_sum(args):
     m, a, x = args.m, args.a, args.x
-    _check_query(m, a, x)
+    sums._check_query(m, a, x)
     if args.method in ("dp", "all"):
         _check_dp_work(m, x)
     if args.method in ("explicit", "all"):
@@ -183,14 +168,14 @@ def _cmd_sum(args):
     wanted = ["enumerate", "dp", "explicit"] if args.method == "all" else [args.method]
     for name in wanted:
         if name == "enumerate":
-            if args.method == "all" and x > ENUMERATION_CAP:
+            if args.method == "all" and x > sums.ENUMERATION_CAP:
                 skipped.append(name)
                 continue
-            methods[name] = newman_sum_enumerate(m, a, x)
+            methods[name] = sums.newman_sum_enumerate(m, a, x)
         elif name == "dp":
-            methods[name] = newman_sum_dp(m, a, x)
+            methods[name] = sums.newman_sum_dp(m, a, x)
         else:
-            methods[name] = newman_sum_explicit(m, a, x)
+            methods[name] = spectral.newman_sum_explicit(m, a, x)
     values = set(methods.values())
     if len(values) > 1:
         raise CrossCheckError(f"sum methods disagree for ({m},{a},{x}): {methods}")
@@ -204,9 +189,9 @@ def _cmd_sum(args):
 
 def _cmd_counts(args):
     m, a, x = args.m, args.a, args.x
-    _check_query(m, a, x)
+    sums._check_query(m, a, x)
     _check_dp_work(m, x)
-    t_even, t_odd = parity_counts(m, a, x)
+    t_even, t_odd = sums.parity_counts(m, a, x)
     return {
         "m": m,
         "a": a,
@@ -221,8 +206,8 @@ def _cmd_counts(args):
 
 
 def _cmd_recurrence(args):
-    dec = cyclotomic_cosets(args.m)
-    spec = coefficients_spectral(dec)
+    dec = cosets.cyclotomic_cosets(args.m)
+    spec = recurrence.coefficients_spectral(dec)
     result = {
         "m": args.m,
         "r": spec.r,
@@ -230,7 +215,7 @@ def _cmd_recurrence(args):
         "coefficients": list(spec.coefficients),
     }
     try:
-        from_sums = coefficients_from_sums(args.m, args.a)
+        from_sums = recurrence.coefficients_from_sums(args.m, args.a)
         result["from_sums"] = list(from_sums.coefficients)
         result["methods_agree"] = from_sums.coefficients == spec.coefficients
         if not result["methods_agree"]:
@@ -238,11 +223,11 @@ def _cmd_recurrence(args):
                 f"coefficient derivations disagree for m={args.m}: "
                 f"{spec.coefficients} vs {from_sums.coefficients}"
             )
-    except SingularSystemError as exc:
+    except recurrence.SingularSystemError as exc:
         result["from_sums"] = None
         result["methods_agree"] = None
         result["finding"] = str(exc)
-    report = verify_recurrence(
+    report = recurrence.verify_recurrence(
         spec, args.a, depth=args.depth, multipliers=tuple(args.multipliers)
     )
     result["verification"] = {
@@ -256,7 +241,7 @@ def _cmd_recurrence(args):
 
 
 def _cmd_classify(args):
-    cls = classify_prime(args.p)
+    cls = cosets.classify_prime(args.p)
     return {
         "p": cls.p,
         "class": cls.classification,
@@ -268,7 +253,7 @@ def _cmd_classify(args):
 def _cmd_scan(args):
     if args.max > MAX_SCAN_LIMIT:
         raise ValueError(f"scan limit {args.max} exceeds {MAX_SCAN_LIMIT}")
-    primes = scan_primes(args.max, args.classification)
+    primes = cosets.scan_primes(args.max, args.classification)
     result = {
         "class": args.classification,
         "max": args.max,
@@ -291,7 +276,7 @@ def _cmd_table(args):
 
 
 def _cmd_empirical(args):
-    _check_query(args.m, args.a, 0)
+    sums._check_query(args.m, args.a, 0)
     _check_profile_cost(args.m, args.max_exp)
     profile = emp.dyadic_profile(args.m, args.a, args.max_exp)
     report = expo.alpha(args.m)

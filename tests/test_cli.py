@@ -1,4 +1,3 @@
-import ast
 import csv
 import importlib
 import inspect
@@ -16,6 +15,7 @@ import pytest
 
 import gelfond
 import gelfond.cli as cli
+from gelfond import cosets, spectral, sums
 from gelfond import exponent as expo
 from gelfond import newman_sum_dp, newman_sum_enumerate, newman_sum_explicit, parity_counts
 
@@ -118,7 +118,7 @@ def test_sum_all_methods(capsys):
 
 
 def test_sum_mismatch_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "newman_sum_dp", lambda m, a, x: 10**6)
+    monkeypatch.setattr(sums, "newman_sum_dp", lambda m, a, x: 10**6)
     code, out, err = run_cli(capsys, "sum", "17", "0", "131072", "--method", "all")
     assert code == 3
     assert "disagree" in err
@@ -146,8 +146,8 @@ def test_dp_work_guard_refuses_before_any_dp(capsys, monkeypatch):
     def no_dp(*args):
         raise AssertionError("the DP must not start")
 
-    monkeypatch.setattr(cli, "newman_sum_dp", no_dp)
-    monkeypatch.setattr(cli, "parity_counts", no_dp)
+    monkeypatch.setattr(sums, "newman_sum_dp", no_dp)
+    monkeypatch.setattr(sums, "parity_counts", no_dp)
     for argv in (("sum", "10007", "5", str(x), "--method", "dp"),
                  ("sum", "10007", "5", str(x), "--method", "all"),
                  ("counts", "10007", "5", str(x))):
@@ -215,19 +215,19 @@ def test_profile_cost_guard(capsys, monkeypatch):
 def test_explicit_cost_guard(capsys, monkeypatch):
     # README's `sum 17 0 131072 --method all` and every explicit sum of the
     # benchmark's CLI session (m < 40, x < 2^20) are accepted
-    assert cli.explicit_cost_ns(17, 131072) <= cli.MAX_EXPLICIT_NS
-    assert max(cli.explicit_cost_ns(m, (1 << 20) - 1) for m in range(1, 41)) <= cli.MAX_EXPLICIT_NS
+    assert spectral.explicit_cost_ns(17, 131072) <= cli.MAX_EXPLICIT_NS
+    assert max(spectral.explicit_cost_ns(m, (1 << 20) - 1) for m in range(1, 41)) <= cli.MAX_EXPLICIT_NS
     # at the bound: 17 with 2381 one-bits predicts 0.975 s, one more bit 1.0009 s
     at_bound, past_bound = (1 << 2381) - 1, (1 << 2382) - 1
-    assert cli.explicit_cost_ns(17, at_bound) <= cli.MAX_EXPLICIT_NS
-    assert cli.explicit_cost_ns(17, past_bound) > cli.MAX_EXPLICIT_NS
+    assert spectral.explicit_cost_ns(17, at_bound) <= cli.MAX_EXPLICIT_NS
+    assert spectral.explicit_cost_ns(17, past_bound) > cli.MAX_EXPLICIT_NS
     env = run_json(capsys, "sum", "17", "3", str(at_bound), "--method", "explicit")
     assert env["result"]["value"] == str(newman_sum_dp(17, 3, at_bound))  # 1506 bits
 
     def no_explicit(*args):
         raise AssertionError("the explicit sum must not start")
 
-    monkeypatch.setattr(cli, "newman_sum_explicit", no_explicit)
+    monkeypatch.setattr(spectral, "newman_sum_explicit", no_explicit)
     for x, method in ((past_bound, "explicit"), (3**9000, "explicit"), (3**9000, "all")):
         code, out, err = run_cli(capsys, "sum", "17", "5", str(x), "--method", method)
         assert code == 2, (x.bit_length(), method)
@@ -258,7 +258,7 @@ def test_scan_limit_guard(capsys, monkeypatch):
     def no_scan(*args):
         raise AssertionError("the scan must not start")
 
-    monkeypatch.setattr(cli, "scan_primes", no_scan)
+    monkeypatch.setattr(cosets, "scan_primes", no_scan)
     for argv in (("--max", str(cli.MAX_SCAN_LIMIT + 1)),
                  ("--class", "primitive", "--max", str(10**9), "--with-alpha")):
         code, out, err = run_cli(capsys, "scan", *argv)
@@ -292,14 +292,25 @@ def test_import_loads_neither_numpy_nor_mpmath():
     heavy = [k for k in added
              if any(k == h or k.startswith(h + ".") for h in HEAVY_MODULES)]
     assert heavy == []
-    # `import gelfond` alone still loads every layer (the benchmark tracer
-    # wraps them through sys.modules)
-    loaded = run_fresh(
-        "-c",
-        "import sys, gelfond; "
-        f"print(sorted(k for k in {LAYERS!r} if 'gelfond.' + k in sys.modules))",
+    # `import gelfond` alone registers every layer (the benchmark tracer
+    # wraps them through sys.modules), and vars() of each registered layer
+    # runs it and lists its public functions, which is what the tracer reads
+    code = (
+        "import json, sys, types, gelfond\n"
+        f"layers = {LAYERS!r}\n"
+        "registered = sorted(k for k in layers if 'gelfond.' + k in sys.modules)\n"
+        "functions = {k: sorted(n for n in gelfond._PUBLIC[k] if isinstance(\n"
+        "    vars(sys.modules['gelfond.' + k]).get(n), types.FunctionType)) for k in layers}\n"
+        "print(json.dumps([registered, functions]))"
     )
-    assert loaded.strip() == str(sorted(LAYERS))
+    registered, functions = json.loads(run_fresh("-c", code))
+    assert registered == sorted(LAYERS)
+    assert functions == {
+        layer: sorted(name for name in gelfond._PUBLIC[layer]
+                      if inspect.isfunction(getattr(gelfond, name)))
+        for layer in LAYERS
+    }
+    assert all(functions.values())
     # counts, recurrence (its exact solve) and the exact spectral
     # coefficients of m = 255 run without them too, and counts still prints
     # the exact "p/q" past the float range
@@ -348,6 +359,45 @@ def test_module_entry_point_runs_every_subcommand():
             assert len(rows) > 1 and all(len(r) == len(rows[0]) for r in rows), argv
 
 
+#: The layers each subcommand of MODULE_RUNS runs; the others stay registered
+#: in sys.modules but unrun.
+ALPHA_LAYERS = {"exponent", "spectral", "cosets", "modular", "sums"}
+COMMAND_LAYERS = {
+    "cosets": {"cosets", "modular"},
+    "classify": {"cosets", "modular"},
+    "counts": {"sums"},
+    "sum": {"sums", "spectral", "cosets", "modular"},
+    "recurrence": {"recurrence", "cosets", "modular", "sums"},
+    "alpha": ALPHA_LAYERS,
+    "table": ALPHA_LAYERS,
+    "scan": ALPHA_LAYERS,
+    "empirical": ALPHA_LAYERS | {"empirical"},
+}
+
+
+def test_each_command_runs_only_its_layers(tmp_path):
+    # a sitecustomize on the path reports, at exit of `python -m gelfond.cli`,
+    # which layers are registered and which of them ran; an unrun lazy module
+    # is not yet a plain module, and type() does not make it run
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, json, sys, types\n"
+        f"layers = {sorted({*LAYERS, 'modular'})!r}\n"
+        "atexit.register(lambda: print(json.dumps([\n"
+        "    sorted(k for k in layers if 'gelfond.' + k in sys.modules),\n"
+        "    sorted(k for k in layers if type(sys.modules.get('gelfond.' + k)) is types.ModuleType),\n"
+        "]), file=sys.stderr))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), *sys.path]))
+    assert set(COMMAND_LAYERS) == set(cli._COMMANDS)
+    for argv, _ in MODULE_RUNS:
+        command = next(a for a in argv if a in cli._COMMANDS)
+        proc = subprocess.run([sys.executable, "-m", "gelfond.cli", *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        registered, ran = json.loads(proc.stderr.splitlines()[-1])
+        assert registered == sorted({*LAYERS, "modular"}), argv
+        assert set(ran) == COMMAND_LAYERS[command], argv
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -385,9 +435,7 @@ def test_readme_module_table_names_exist():
                    if name not in namespace]
         assert missing == [], module
     # every public function is named in the row of the module gelfond takes it from
-    source = {alias.asname or alias.name: node.module
-              for node in ast.parse(Path(gelfond.__file__).read_text()).body
-              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    source = {name: layer for layer, names in gelfond._PUBLIC.items() for name in names}
     listed = dict(rows)
     unlisted = [name for name in gelfond.__all__
                 if inspect.isfunction(getattr(gelfond, name))
@@ -552,8 +600,8 @@ def test_cosets_csv(capsys):
 
 def test_cosets_csv_decomposes_once(capsys, monkeypatch):
     calls = []
-    decompose = cli.cyclotomic_cosets
-    monkeypatch.setattr(cli, "cyclotomic_cosets", lambda m: calls.append(m) or decompose(m))
+    decompose = cosets.cyclotomic_cosets
+    monkeypatch.setattr(cosets, "cyclotomic_cosets", lambda m: calls.append(m) or decompose(m))
     code, out, _ = run_cli(capsys, "--format", "csv", "cosets", "63")
     assert code == 0 and calls == [63]
     rows = [f"{c[0]},{len(c)},{' '.join(map(str, c))}" for c in decompose(63).cosets]

@@ -42,7 +42,7 @@ FIELDS = {
 
 
 def test_every_public_result_type_is_pinned():
-    public = {obj for obj in map(gelfond.__dict__.get, gelfond.__all__)
+    public = {obj for obj in (getattr(gelfond, name) for name in gelfond.__all__)
               if isinstance(obj, type) and issubclass(obj, tuple)}
     assert public == set(FIELDS)
 
