@@ -88,26 +88,42 @@ def _truncate(x: float, digits: int) -> str:
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each handler returns its result record's fields; `_jsonify` turns the
+# tuples and named tuples in them into lists.  A CSV shape maps a handler's
+# result to (header, rows).
+
+
+def _fields(record, *omit):
+    """The fields of a result record, in order, less those in `omit`."""
+    return {k: v for k, v in record._asdict().items() if k not in omit}
+
+
+def _check_limit(value: int, limit: int, message: str) -> None:
+    """Refuse `value` above `limit` by `message`, a template of {value} and
+    {limit}."""
+    if value > limit:
+        raise ValueError(message.format(value=value, limit=limit))
 
 
 def _cmd_cosets(args):
     dec = cosets.cyclotomic_cosets(args.m)
-    result = {
-        "m": dec.m,
-        "r": dec.r,
-        "h": dec.h,
-        "ord2": dec.ord2,
-        "representatives": list(dec.representatives),
-        "sizes": list(dec.sizes),
-    }
+    result = {k: getattr(dec, k) for k in ("m", "r", "h", "ord2", "representatives", "sizes")}
     if args.all_elements or args.format == "csv":  # the CSV rows are the cosets
-        result["cosets"] = [list(c) for c in dec.cosets]
+        result["cosets"] = dec.cosets
     return result
 
 
-def _alpha_report_payload(report, args):
+def _cosets_csv(result):
+    return ["representative", "size", "elements"], [
+        [c[0], len(c), " ".join(map(str, c))] for c in result["cosets"]
+    ]
+
+
+def _cmd_alpha(args):
+    report = expo.alpha(args.m, full_range=args.full_range)
     result = {
-        "m": report.m,
+        "m": args.m,
         "alpha": report.alpha,
         "argmax_rep": report.argmax_rep,
         "lambda": report.lam,
@@ -115,74 +131,50 @@ def _alpha_report_payload(report, args):
         "bounded": report.bounded,
     }
     if args.per_rep:
-        result["per_rep"] = [[rep, value] for rep, value in report.per_rep]
+        result["per_rep"] = report.per_rep
     if args.closed_form:
         result["closed_form"] = report.closed_form
+    if report.m != args.m:  # the report describes the odd part
+        result["odd_part"] = report.m
     return result
 
 
-def _cmd_alpha(args):
-    report = expo.alpha(args.m, full_range=args.full_range)
-    payload = _alpha_report_payload(report, args)
-    if report.m != args.m:  # the report describes the odd part
-        payload["odd_part"] = report.m
-        payload["m"] = args.m
-    return payload
-
-
-def _check_dp_work(m: int, x: int) -> None:
+def _dp_cells(m: int, x: int) -> int:
+    """The digit DP's cells: the odd part m' of m times bit_length(x >> v2(m))."""
     _, odd, _, k, _ = sums._odd_query(m, 0)  # m >= 1, checked by the caller
-    work = odd * (x >> k).bit_length()
-    if work > MAX_DP_WORK:
-        raise ValueError(
-            f"odd part of m times bit_length(x >> v2(m)) = {work} exceeds "
-            f"the digit-DP limit {MAX_DP_WORK}"
-        )
+    return odd * (x >> k).bit_length()
 
 
-def _check_profile_cost(m: int, max_exp: int) -> None:
-    cost = emp.profile_cost_ns(m, max_exp)
-    if cost > MAX_PROFILE_NS:
-        raise ValueError(
-            f"predicted profile time {cost} ns exceeds the limit {MAX_PROFILE_NS} ns"
-        )
+_DP_LIMIT = ("odd part of m times bit_length(x >> v2(m)) = {value} exceeds "
+             "the digit-DP limit {limit}")
 
-
-def _check_explicit_cost(m: int, x: int) -> None:
-    cost = spectral.explicit_cost_ns(m, x)
-    if cost > MAX_EXPLICIT_NS:
-        raise ValueError(
-            f"predicted explicit-sum time {cost} ns exceeds the limit {MAX_EXPLICIT_NS} ns"
-        )
+#: The routes of `sum`, each read from its layer at call time, so that only
+#: the layers of the routes asked for run.
+_SUM_ROUTES = {
+    "enumerate": lambda m, a, x: sums.newman_sum_enumerate(m, a, x),
+    "dp": lambda m, a, x: sums.newman_sum_dp(m, a, x),
+    "explicit": lambda m, a, x: spectral.newman_sum_explicit(m, a, x),
+}
 
 
 def _cmd_sum(args):
-    m, a, x = args.m, args.a, args.x
+    m, a, x, method = args.m, args.a, args.x, args.method
     sums._check_query(m, a, x)
-    if args.method in ("dp", "all"):
-        _check_dp_work(m, x)
-    if args.method in ("explicit", "all"):
-        _check_explicit_cost(m, x)
-    methods = {}
-    skipped = []
-    wanted = ["enumerate", "dp", "explicit"] if args.method == "all" else [args.method]
-    for name in wanted:
-        if name == "enumerate":
-            if args.method == "all" and x > sums.ENUMERATION_CAP:
-                skipped.append(name)
-                continue
-            methods[name] = sums.newman_sum_enumerate(m, a, x)
-        elif name == "dp":
-            methods[name] = sums.newman_sum_dp(m, a, x)
-        else:
-            methods[name] = spectral.newman_sum_explicit(m, a, x)
+    if method in ("dp", "all"):
+        _check_limit(_dp_cells(m, x), MAX_DP_WORK, _DP_LIMIT)
+    if method in ("explicit", "all"):
+        _check_limit(spectral.explicit_cost_ns(m, x), MAX_EXPLICIT_NS,
+                     "predicted explicit-sum time {value} ns exceeds the limit {limit} ns")
+    skipped = ["enumerate"] if method == "all" and x > sums.ENUMERATION_CAP else []
+    methods = {name: route(m, a, x) for name, route in _SUM_ROUTES.items()
+               if method in (name, "all") and name not in skipped}
     values = set(methods.values())
     if len(values) > 1:
         raise CrossCheckError(f"sum methods disagree for ({m},{a},{x}): {methods}")
     result = {"m": m, "a": a, "x": x, "value": values.pop(), "methods": methods}
     if skipped:
         result["skipped"] = skipped
-    if args.method == "all":
+    if method == "all":
         result["agree"] = True
     return result
 
@@ -190,7 +182,7 @@ def _cmd_sum(args):
 def _cmd_counts(args):
     m, a, x = args.m, args.a, args.x
     sums._check_query(m, a, x)
-    _check_dp_work(m, x)
+    _check_limit(_dp_cells(m, x), MAX_DP_WORK, _DP_LIMIT)
     t_even, t_odd = sums.parity_counts(m, a, x)
     return {
         "m": m,
@@ -206,37 +198,26 @@ def _cmd_counts(args):
 
 
 def _cmd_recurrence(args):
-    dec = cosets.cyclotomic_cosets(args.m)
-    spec = recurrence.coefficients_spectral(dec)
-    result = {
-        "m": args.m,
-        "r": spec.r,
-        "h": spec.h,
-        "coefficients": list(spec.coefficients),
-    }
+    spec = recurrence.coefficients_spectral(cosets.cyclotomic_cosets(args.m))
+    result = spec._asdict()
     try:
-        from_sums = recurrence.coefficients_from_sums(args.m, args.a)
-        result["from_sums"] = list(from_sums.coefficients)
-        result["methods_agree"] = from_sums.coefficients == spec.coefficients
-        if not result["methods_agree"]:
-            raise CrossCheckError(
-                f"coefficient derivations disagree for m={args.m}: "
-                f"{spec.coefficients} vs {from_sums.coefficients}"
-            )
+        from_sums = recurrence.coefficients_from_sums(args.m, args.a).coefficients
     except recurrence.SingularSystemError as exc:
         result["from_sums"] = None
         result["methods_agree"] = None
         result["finding"] = str(exc)
+    else:
+        result["from_sums"] = from_sums
+        result["methods_agree"] = from_sums == spec.coefficients
+        if not result["methods_agree"]:
+            raise CrossCheckError(
+                f"coefficient derivations disagree for m={args.m}: "
+                f"{spec.coefficients} vs {from_sums}"
+            )
     report = recurrence.verify_recurrence(
         spec, args.a, depth=args.depth, multipliers=tuple(args.multipliers)
     )
-    result["verification"] = {
-        "a": report.a,
-        "depth": report.depth,
-        "multipliers": list(report.multipliers),
-        "checks": report.checks,
-        "max_defect": report.max_defect,
-    }
+    result["verification"] = _fields(report, "m")
     return result
 
 
@@ -251,8 +232,7 @@ def _cmd_classify(args):
 
 
 def _cmd_scan(args):
-    if args.max > MAX_SCAN_LIMIT:
-        raise ValueError(f"scan limit {args.max} exceeds {MAX_SCAN_LIMIT}")
+    _check_limit(args.max, MAX_SCAN_LIMIT, "scan limit {value} exceeds {limit}")
     primes = cosets.scan_primes(args.max, args.classification)
     result = {
         "class": args.classification,
@@ -267,6 +247,12 @@ def _cmd_scan(args):
     return result
 
 
+def _scan_csv(result):
+    if "alphas" in result:
+        return ["p", "alpha"], zip(result["primes"], result["alphas"])
+    return ["p"], [[p] for p in result["primes"]]
+
+
 def _cmd_table(args):
     rows = []
     for m in PAPER_TABLE_MODULI:
@@ -275,9 +261,14 @@ def _cmd_table(args):
     return {"set": args.table_set, "rows": rows}
 
 
+def _table_csv(result):
+    return ["m", "alpha", "alpha_4dec"], [row.values() for row in result["rows"]]
+
+
 def _cmd_empirical(args):
     sums._check_query(args.m, args.a, 0)
-    _check_profile_cost(args.m, args.max_exp)
+    _check_limit(emp.profile_cost_ns(args.m, args.max_exp), MAX_PROFILE_NS,
+                 "predicted profile time {value} ns exceeds the limit {limit} ns")
     profile = emp.dyadic_profile(args.m, args.a, args.max_exp)
     report = expo.alpha(args.m)
     remainder = emp.gelfond_remainder_check(
@@ -288,83 +279,41 @@ def _cmd_empirical(args):
         "a": args.a,
         "max_exp": args.max_exp,
         "alpha": report.alpha,
-        "remainder": {
-            "max_ratio": remainder.max_ratio,
-            "argmax_nu": remainder.argmax_nu,
-            "monotone_top": remainder.monotone_top,
-        },
-        "blocks": [[b.nu, b.sup, b.argmax_x] for b in profile.blocks],
+        "remainder": _fields(remainder, "m", "a", "max_exp", "ratios"),
+        "blocks": profile.blocks,
     }
     if args.window:
         window = tuple(args.window)
     else:
         window = emp.default_window(args.max_exp, emp._first_nonzero_block(profile))
     if args.window or window[1] - window[0] >= 3:  # a fit needs 4 blocks
-        fit = emp.fit_exponent(profile, window)
-        result["fit"] = {
-            "exponent_estimate": fit.exponent_estimate,
-            "intercept": fit.intercept,
-            "residual": fit.residual,
-            "window": list(fit.window),
-        }
+        result["fit"] = emp.fit_exponent(profile, window)._asdict()
     if not report.bounded:
         try:
             env = emp.envelope_check(profile, report.alpha)
         except ValueError as exc:
             result["envelope"] = {"skipped": str(exc)}
         else:
-            result["envelope"] = {
-                "calib_end": env.calib_end,
-                "upper_c": env.upper_c,
-                "upper_violations": [
-                    [b.nu, b.sup, b.argmax_x] for b in env.upper_violations
-                ],
-                "omega_attained": env.omega_attained,
-                "omega_margin": env.omega_margin,
-            }
+            result["envelope"] = _fields(env, "m", "a", "alpha")
     return result
 
 
-# ------------------------------------------------------------- CSV shaping
-
-
-def _csv_rows(command, result):
-    if command == "table":
-        header = ["m", "alpha", "alpha_4dec"]
-        return header, [[r["m"], r["alpha"], r["alpha_4dec"]] for r in result["rows"]]
-    if command == "scan":
-        if "alphas" in result:
-            return ["p", "alpha"], list(map(list, zip(result["primes"], result["alphas"])))
-        return ["p"], [[p] for p in result["primes"]]
-    if command == "cosets":
-        header = ["representative", "size", "elements"]
-        return header, [
-            [c[0], len(c), " ".join(map(str, c))] for c in result["cosets"]
-        ]
-    if command == "empirical":
-        header = ["nu", "sup", "argmax_x", "log2_sup"]
-        rows = []
-        for nu, sup, argmax_x in result["blocks"]:
-            log2_sup = math.log2(sup) if sup > 0 else float("-inf")
-            rows.append([nu, sup, argmax_x, log2_sup])
-        return header, rows
-    raise ValueError(f"command {command!r} has no CSV form")
-
-
-def _emit_csv(header, rows, precision):
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(f"{cell:.{precision}f}" if math.isfinite(cell) else repr(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _empirical_csv(result):
+    return ["nu", "sup", "argmax_x", "log2_sup"], [
+        [*b, math.log2(b.sup) if b.sup > 0 else float("-inf")] for b in result["blocks"]
+    ]
 
 
 # ------------------------------------------------------------------ driver
+
+
+def _emit_csv(header, rows, precision):
+    def text(cell):  # str() of a non-finite float is its repr()
+        if isinstance(cell, float) and math.isfinite(cell):
+            return f"{cell:.{precision}f}"
+        return str(cell)
+
+    return "".join(",".join(map(text, row)) + "\n" for row in [header, *rows])
 
 
 def _int(text: str) -> int:
@@ -401,54 +350,52 @@ _M = (("m",), {"type": _int})
 _A = (("a",), {"type": _int})
 _X = (("x",), {"type": _int})
 
-#: Every subcommand: its handler, its one-line help and its arguments as
-#: (names, options) pairs for add_argument.
+#: Every subcommand: its handler, its CSV shape (None: no CSV form), its
+#: one-line help and its arguments as (names, options) pairs for add_argument.
 _COMMANDS = {
-    "cosets": (_cmd_cosets, "cyclotomic cosets of 2 mod m", [
+    "cosets": (_cmd_cosets, _cosets_csv, "cyclotomic cosets of 2 mod m", [
         _M,
         (("--all-elements",), {"action": "store_true"}),
     ]),
-    "alpha": (_cmd_alpha, "exact remainder exponent alpha(m)", [
+    "alpha": (_cmd_alpha, None, "exact remainder exponent alpha(m)", [
         _M,
         (("--per-rep",), {"action": "store_true"}),
         (("--full-range",), {"action": "store_true", "help":
                              "also maximize over every l in [1, m-1] and cross-check"}),
         (("--closed-form",), {"action": "store_true"}),
     ]),
-    "sum": (_cmd_sum, "Newman-like sum S(m, a, x)", [
+    "sum": (_cmd_sum, None, "Newman-like sum S(m, a, x)", [
         _M, _A, _X,
         (("--method",), {"choices": ["enumerate", "dp", "explicit", "all"],
                          "default": "dp"}),
     ]),
-    "counts": (_cmd_counts, "digit-sum parity counts in the class", [_M, _A, _X]),
-    "recurrence": (_cmd_recurrence, "integer recurrence coefficients + check", [
+    "counts": (_cmd_counts, None, "digit-sum parity counts in the class", [_M, _A, _X]),
+    "recurrence": (_cmd_recurrence, None, "integer recurrence coefficients + check", [
         _M,
         (("--depth",), {"type": _int, "default": 8}),
         (("--multipliers",), {"type": _int_list, "default": [1, 3, 5]}),
         (("--a",), {"type": _int, "default": 0}),
     ]),
-    "classify": (_cmd_classify, "primitive/semiprimitive root status of 2", [
+    "classify": (_cmd_classify, None, "primitive/semiprimitive root status of 2", [
         (("p",), {"type": _int}),
     ]),
-    "scan": (_cmd_scan, "scan primes by root classification", [
+    "scan": (_cmd_scan, _scan_csv, "scan primes by root classification", [
         (("--class",), {"dest": "classification",
                         "choices": ["semiprimitive", "primitive"],
                         "default": "semiprimitive"}),
         (("--max",), {"type": _int, "required": True}),
         (("--with-alpha",), {"action": "store_true"}),
     ]),
-    "table": (_cmd_table, "closing table of exponents", [
+    "table": (_cmd_table, _table_csv, "closing table of exponents", [
         (("--set",), {"dest": "table_set", "choices": ["paper"], "default": "paper"}),
     ]),
-    "empirical": (_cmd_empirical, "dyadic sup profile, fit, remainder scan", [
+    "empirical": (_cmd_empirical, _empirical_csv, "dyadic sup profile, fit, remainder scan", [
         _M, _A,
         (("--max-exp",), {"type": _int, "default": 20}),
         (("--window",), {"type": _int, "nargs": 2, "metavar": ("LO", "HI")}),
         (("--csv",), {"action": "store_true", "help": "emit the profile as CSV"}),
     ]),
 }
-
-_CSV_COMMANDS = {"table", "scan", "cosets", "empirical"}
 
 
 class _ListCommands(argparse.Action):
@@ -479,7 +426,7 @@ def _top_parser(listing: bool = False) -> argparse.ArgumentParser:
                         help="decimal digits for real numbers (default 8)")
     if listing:
         sub = parser.add_subparsers(dest="command", required=True)
-        for name, (_, text, _) in _COMMANDS.items():
+        for name, (_, _, text, _) in _COMMANDS.items():
             sub.add_parser(name, help=text, add_help=False)
     else:
         # nargs=PARSER takes the command and the rest, as a subparsers action does
@@ -495,7 +442,7 @@ def _parse_args(argv) -> argparse.Namespace:
     head, extras = top.parse_known_args(argv)
     name, *rest = head.command
     parser = argparse.ArgumentParser(prog=f"gelfond {name}")
-    for names, options in _COMMANDS[name][2]:
+    for names, options in _COMMANDS[name][3]:
         parser.add_argument(*names, **options)
     args, more = parser.parse_known_args(rest)
     extras += more
@@ -507,13 +454,14 @@ def _parse_args(argv) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
+    handler, csv_shape = _COMMANDS[args.command][:2]
     want_csv = args.format == "csv" or getattr(args, "csv", False)
-    if want_csv and args.command not in _CSV_COMMANDS:
+    if want_csv and csv_shape is None:
         print(f"error: command {args.command!r} has no CSV output", file=sys.stderr)
         return 2
     started = time.perf_counter()
     try:
-        result = _COMMANDS[args.command][0](args)
+        result = handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -523,8 +471,7 @@ def main(argv=None) -> int:
     elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
 
     if want_csv:
-        header, rows = _csv_rows(args.command, result)
-        sys.stdout.write(_emit_csv(header, rows, args.precision))
+        sys.stdout.write(_emit_csv(*csv_shape(result), args.precision))
         return 0
     inputs = {
         k: v

@@ -79,6 +79,11 @@ class EnvelopeReport(NamedTuple):
     omega_margin: float
 
 
+def _check_max_exp(max_exp: int, top: int = PROFILE_MAX_EXP) -> None:
+    if not 1 <= max_exp <= top:
+        raise ValueError(f"max_exp must be in [1, {top}], got {max_exp}")
+
+
 def _walk_steps(m: int, max_exp: int) -> int:
     """The number of class members below 2^max_exp, give or take one."""
     return (1 << max_exp) // m + 1
@@ -87,7 +92,9 @@ def _walk_steps(m: int, max_exp: int) -> int:
 def profile_cost_ns(m: int, max_exp: int) -> int:
     """Predicted time of dyadic_profile(m, a, max_exp) in ns on the machine
     of the step costs above: its cheaper route, the max-plus DP's
-    m * max_exp cells or the walk's 2^max_exp / m class members."""
+    m * max_exp cells or the walk's 2^max_exp / m class members.  A max_exp
+    that dyadic_profile refuses is refused here too."""
+    _check_max_exp(max_exp)
     return min(MAXPLUS_CELL_NS * m * max_exp, WALK_STEP_NS * _walk_steps(m, max_exp))
 
 
@@ -172,8 +179,7 @@ def dyadic_profile(m: int, a: int, max_exp: int) -> DyadicProfile:
     and every deep profile; the walk takes large m at shallow depths.
     """
     _check_query(m, a, 1)
-    if not 1 <= max_exp <= PROFILE_MAX_EXP:
-        raise ValueError(f"max_exp must be in [1, {PROFILE_MAX_EXP}], got {max_exp}")
+    _check_max_exp(max_exp)
     if MAXPLUS_CELL_NS * m * max_exp <= WALK_STEP_NS * _walk_steps(m, max_exp):
         blocks, boundary = _maxplus_profile(m, a, max_exp)
     else:
@@ -243,8 +249,7 @@ def gelfond_remainder_check(m: int, a: int, max_exp: int) -> RemainderCheck:
     bound; that situation is flagged, not silently accepted.
     """
     _check_query(m, a, 1)
-    if not 1 <= max_exp <= REMAINDER_MAX_EXP:
-        raise ValueError(f"max_exp must be in [1, {REMAINDER_MAX_EXP}], got {max_exp}")
+    _check_max_exp(max_exp, REMAINDER_MAX_EXP)
     if DIGIT_CELL_NS * _odd_part(m) * max_exp <= WALK_STEP_NS * _walk_steps(m, max_exp):
         levels = dyadic_sums(m, a, max_exp)
     else:

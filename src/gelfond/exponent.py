@@ -19,13 +19,12 @@ import math
 from typing import NamedTuple
 
 from .cosets import (
-    PRIMALITY_BOUND,
     PRIMITIVE,
     SEMIPRIMITIVE,
+    CosetDecomposition,
     _check_odd_modulus,
     classify_prime,
     cyclotomic_cosets,
-    is_prime,
     multiplicative_order,
 )
 from .spectral import characteristic_roots
@@ -111,13 +110,17 @@ def _closed_prime(p: int) -> float:
     return math.log(p) / ((p - 1) * math.log(2))
 
 
-def _closed_form(m: int) -> float | None:
+def _closed_form(dec: CosetDecomposition) -> float | None:
+    """LAMBDA when 3 | m; ln m / ((m-1) ln 2) when m is a prime with 2
+    primitive (one coset, h = m - 1) or semiprimitive (two cosets of size
+    (m-1)/2, -1 not a power of 2).  Either shape forces m prime: doubling
+    keeps gcd(t, m), so for a composite m the units and the non-units of
+    each gcd would need more cosets, or for m = p^2 two of unequal sizes."""
+    m = dec.m
     if m % 3 == 0:
         return LAMBDA
-    if m <= PRIMALITY_BOUND and is_prime(m):
-        cls = classify_prime(m)
-        if cls.classification in (PRIMITIVE, SEMIPRIMITIVE):
-            return _closed_prime(m)
+    if dec.h == m - 1 or (dec.r == 2 and 2 * dec.h == m - 1 and m - 1 not in dec.cosets[0]):
+        return _closed_prime(m)
     return None
 
 
@@ -163,7 +166,7 @@ def alpha(m: int, full_range: bool = False) -> ExponentReport:
         per_rep=per_rep,
         alpha=best[1],
         argmax_rep=best[0],
-        closed_form=_closed_form(m),
+        closed_form=_closed_form(dec),
         lam=LAMBDA,
         log2_v=math.log2(spectrum.v),
     )

@@ -247,6 +247,18 @@ def test_empirical_validates_input_before_the_cost_model(capsys, monkeypatch):
         assert "must" in err
 
 
+def test_empirical_refuses_max_exp_out_of_range(capsys):
+    for max_exp in (-1, 0, 257):
+        with pytest.raises(ValueError, match=re.escape(
+                f"max_exp must be in [1, 256], got {max_exp}")):
+            cli.emp.profile_cost_ns(3, max_exp)
+    # the range comes before the cost: at m = 1000003 depth 300 would also
+    # predict far more than the limit
+    for m, max_exp in (("3", "-1"), ("3", "0"), ("3", "257"), ("1000003", "300")):
+        code, out, err = run_cli(capsys, "empirical", m, "0", "--max-exp", max_exp)
+        assert (code, out, err) == (2, "", f"error: max_exp must be in [1, 256], got {max_exp}\n")
+
+
 def test_scan_limit_guard(capsys, monkeypatch):
     # at the bound the sieve scan runs (about 1 s)
     env = run_json(capsys, "scan", "--max", str(cli.MAX_SCAN_LIMIT))
@@ -423,6 +435,66 @@ def test_readme_usage_commands_run(capsys):
             env = json.loads(out)
             assert list(env) == ["schema_version", "command", "inputs", "result", "timing_ms"]
             assert env["command"] == argv[1] and env["result"], argv
+
+
+#: The keys of each command's result, in order; a nested dict (or a list of
+#: dicts) as (key, its keys).  A CSV form lists its header.
+ALPHA_KEYS = ["m", "alpha", "argmax_rep", "lambda", "log2_v", "bounded"]
+VERIFICATION_KEYS = ("verification", ["a", "depth", "multipliers", "checks", "max_defect"])
+EMPIRICAL_KEYS = ["m", "a", "max_exp", "alpha",
+                  ("remainder", ["max_ratio", "argmax_nu", "monotone_top"]), "blocks",
+                  ("fit", ["exponent_estimate", "intercept", "residual", "window"])]
+RESULT_KEYS = {
+    "cosets 15 --all-elements": ["m", "r", "h", "ord2", "representatives", "sizes", "cosets"],
+    "alpha 17 --per-rep --closed-form": [*ALPHA_KEYS, "per_rep", "closed_form"],
+    "alpha 17 --full-range": ALPHA_KEYS,
+    "alpha 12": [*ALPHA_KEYS, "odd_part"],
+    "sum 17 0 131072 --method all":
+        ["m", "a", "x", "value", ("methods", ["enumerate", "dp", "explicit"]), "agree"],
+    "counts 3 2 16": ["m", "a", "x", "t_even", "t_odd", "count", "newman_sum",
+                      "x_over_2m", "remainder"],
+    "recurrence 17 --depth 12 --multipliers 1,3,5,7 --a 0":
+        ["m", "r", "h", "coefficients", "from_sums", "methods_agree", VERIFICATION_KEYS],
+    "recurrence 15": ["m", "r", "h", "coefficients", "from_sums", "methods_agree", "finding",
+                      VERIFICATION_KEYS],
+    "classify 7": ["p", "class", "ord2", "minus_one_solvable"],
+    "scan --class semiprimitive --max 263": ["class", "max", "count", "primes"],
+    "scan --class primitive --max 1000 --with-alpha":
+        ["class", "max", "count", "primes", "alphas", "min_alpha"],
+    "table --set paper": ["set", ("rows", ["m", "alpha", "alpha_4dec"])],
+    "empirical 3 0 --max-exp 24": [*EMPIRICAL_KEYS, (
+        "envelope", ["calib_end", "upper_c", "upper_violations", "omega_attained", "omega_margin"])],
+    "empirical 3 0 --max-exp 24 --csv": ["nu", "sup", "argmax_x", "log2_sup"],
+    "empirical 8 0 --max-exp 12": EMPIRICAL_KEYS,  # bounded sums: no envelope
+}
+
+
+def result_keys(result):
+    """The keys of a result dict in order; a nested dict, or a list of dicts
+    that share their keys, as (key, its keys)."""
+    keys = []
+    for key, value in result.items():
+        if isinstance(value, dict):
+            value = [value]
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            shapes = [result_keys(d) for d in value]
+            assert all(shape == shapes[0] for shape in shapes), key
+            keys.append((key, shapes[0]))
+        else:
+            keys.append(key)
+    return keys
+
+
+def test_each_command_pins_its_result_keys(capsys):
+    lines = {shlex.join(argv[1:]) for argv in readme_usage_commands()}
+    assert set(RESULT_KEYS) == lines | {"alpha 12", "recurrence 15", "empirical 8 0 --max-exp 12"}
+    for line, expected in RESULT_KEYS.items():
+        code, out, err = run_cli(capsys, *shlex.split(line))
+        assert code == 0, (line, err)
+        if "--csv" in line:
+            assert out.splitlines()[0].split(",") == expected
+        else:
+            assert result_keys(json.loads(out)["result"]) == expected, line
 
 
 def test_readme_module_table_names_exist():

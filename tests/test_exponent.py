@@ -6,10 +6,14 @@ import pytest
 from gelfond import exponent
 from gelfond import (
     LAMBDA,
+    PRIMITIVE,
+    SEMIPRIMITIVE,
     alpha,
     alpha_closed_prime,
     alpha_for_rep,
+    classify_prime,
     cyclotomic_cosets,
+    is_prime,
     newman_sum_dp,
 )
 from gelfond.exponent import ExponentReport
@@ -162,6 +166,27 @@ def test_closed_form_agreement(p):
     assert alpha_closed_prime(p) == pytest.approx(closed, abs=1e-15)
     assert alpha(p).alpha == pytest.approx(closed, abs=1e-9)
     assert alpha(p).closed_form == pytest.approx(closed, abs=1e-15)
+
+
+def test_closed_form_reads_the_cosets_like_the_prime_classification():
+    # the reference rule: lambda when 3 | m, else the prime closed form when
+    # m is a prime with 2 primitive or semiprimitive
+    def by_classification(m):
+        if m % 3 == 0:
+            return LAMBDA
+        if is_prime(m) and classify_prime(m).classification in (PRIMITIVE, SEMIPRIMITIVE):
+            return math.log(m) / ((m - 1) * math.log(2))
+        return None
+
+    closed = 0
+    for m in range(3, 3000, 2):
+        expected = by_classification(m)
+        assert exponent._closed_form(cyclotomic_cosets(m)) == expected, m
+        closed += expected is not None and m % 3 != 0
+    assert closed == 250  # 166 primitive and 84 semiprimitive primes 5 <= p < 3000
+    # through alpha, on the odd part: 2 is primitive mod 2027, semiprimitive mod 2999
+    for p in (2027, 2999):
+        assert alpha(2 * p).closed_form == pytest.approx(alpha(p).alpha, abs=1e-9)
 
 
 def test_closed_form_rejects_other_primes():
