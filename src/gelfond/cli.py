@@ -241,7 +241,7 @@ def _cmd_scan(args):
         "primes": primes,
     }
     if args.with_alpha:
-        alphas = [expo._closed_prime(p) for p in primes]
+        alphas = [cosets._closed_prime(p) for p in primes]
         result["alphas"] = alphas
         result["min_alpha"] = min(alphas, default=None)
     return result
@@ -398,58 +398,26 @@ _COMMANDS = {
 }
 
 
-class _ListCommands(argparse.Action):
-    """-h/--help of the top-level parser: its help with every command listed."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        _top_parser(listing=True).print_help()
-        parser.exit()
-
-
-def _top_parser(listing: bool = False) -> argparse.ArgumentParser:
-    """The top-level parser: --format, --precision, then the command name and
-    the arguments after it, which the command's own parser reads.  With
-    `listing` the command is a subparsers action naming every command with
-    its help; that parser serves the help text alone."""
+def _parse_args(argv) -> argparse.Namespace:
+    """argv parsed by one parser with a subparser per command.  Arguments
+    cost the most to build, so only a command named in argv (argparse can
+    choose no other) gets its arguments and -h; the rest fill the listing."""
+    argv = sys.argv[1:] if argv is None else argv
     parser = argparse.ArgumentParser(
         prog="gelfond",
         description="Newman-like digit sums, coset spectra, recurrences, "
         "and exact remainder exponents.",
-        add_help=listing,
     )
-    if not listing:
-        parser.add_argument("-h", "--help", action=_ListCommands, nargs=0,
-                            dest=argparse.SUPPRESS, default=argparse.SUPPRESS,
-                            help="show this help message and exit")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--precision", type=_nonnegative_int, default=8,
                         help="decimal digits for real numbers (default 8)")
-    if listing:
-        sub = parser.add_subparsers(dest="command", required=True)
-        for name, (_, _, text, _) in _COMMANDS.items():
-            sub.add_parser(name, help=text, add_help=False)
-    else:
-        # nargs=PARSER takes the command and the rest, as a subparsers action does
-        parser.add_argument("command", nargs=argparse.PARSER, choices=_COMMANDS)
-    return parser
-
-
-def _parse_args(argv) -> argparse.Namespace:
-    """argv parsed by the top-level parser, then by the chosen command's
-    parser alone.  Syntax, help and error texts are those of one parser with
-    a subparser per command."""
-    top = _top_parser()
-    head, extras = top.parse_known_args(argv)
-    name, *rest = head.command
-    parser = argparse.ArgumentParser(prog=f"gelfond {name}")
-    for names, options in _COMMANDS[name][3]:
-        parser.add_argument(*names, **options)
-    args, more = parser.parse_known_args(rest)
-    extras += more
-    if extras:
-        top.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command, args.format, args.precision = name, head.format, head.precision
-    return args
+    sub = parser.add_subparsers(dest="command", required=True, prog="gelfond")
+    for name, (_, _, text, arguments) in _COMMANDS.items():
+        named = name in argv
+        command = sub.add_parser(name, help=text, add_help=named)
+        for names, options in arguments if named else ():
+            command.add_argument(*names, **options)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:

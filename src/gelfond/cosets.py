@@ -124,6 +124,12 @@ def classify_prime(p: int) -> PrimeClassification:
     return _classify(p, prime_factors(p - 1))
 
 
+def _closed_prime(p: int) -> float:
+    """ln p / ((p-1) ln 2): alpha(p) for a prime p with 2 primitive or
+    semiprimitive, and the `scan --with-alpha` column."""
+    return math.log(p) / ((p - 1) * math.log(2))
+
+
 def _least_factor_sieve(limit: int) -> array:
     """spf[n] = the least prime factor of composite n <= limit, 0 for primes.
 

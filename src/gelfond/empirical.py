@@ -212,7 +212,7 @@ def fit_exponent(profile: DyadicProfile, window: tuple[int, int] | None = None) 
         window = default_window(profile.max_exp, _first_nonzero_block(profile))
     lo, hi = window
     if not (1 <= lo <= hi <= profile.max_exp):
-        raise ValueError(f"window {window} outside profile range 1..{profile.max_exp}")
+        raise ValueError(f"window {window} must satisfy 1 <= lo <= hi <= {profile.max_exp}")
     picked = [b for b in profile.blocks if lo <= b.nu <= hi]
     if len(picked) < 4:
         raise ValueError(f"window {window} holds {len(picked)} blocks; need >= 4")

@@ -23,6 +23,7 @@ from .cosets import (
     SEMIPRIMITIVE,
     CosetDecomposition,
     _check_odd_modulus,
+    _closed_prime,
     classify_prime,
     cyclotomic_cosets,
     multiplicative_order,
@@ -102,12 +103,6 @@ def _full_range_max(m: int) -> float:
             sums = [s + ones[l * c % m] for l, s in enumerate(sums)]
             k += 1
     return 1.0 + max(sums[1:]) / (h * math.log(2))
-
-
-def _closed_prime(p: int) -> float:
-    """ln p / ((p-1) ln 2): alpha(p) for a prime p with 2 primitive or
-    semiprimitive, and the `scan --with-alpha` column."""
-    return math.log(p) / ((p - 1) * math.log(2))
 
 
 def _closed_form(dec: CosetDecomposition) -> float | None:

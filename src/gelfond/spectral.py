@@ -34,11 +34,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .cosets import CosetDecomposition
 from .modular import PRIME_BITS, crt_root, crt_symmetric, power_table, split_primes
 from .sums import _check_query, _odd_query, _set_bits
+
+if TYPE_CHECKING:  # an annotation only, so `sum` never runs the cosets layer
+    from .cosets import CosetDecomposition
 
 #: Two effective roots closer than this (relatively) count as coincident.
 CLUSTER_RTOL = 1e-8

@@ -378,11 +378,11 @@ COMMAND_LAYERS = {
     "cosets": {"cosets", "modular"},
     "classify": {"cosets", "modular"},
     "counts": {"sums"},
-    "sum": {"sums", "spectral", "cosets", "modular"},
+    "sum": {"sums", "spectral", "modular"},
     "recurrence": {"recurrence", "cosets", "modular", "sums"},
     "alpha": ALPHA_LAYERS,
     "table": ALPHA_LAYERS,
-    "scan": ALPHA_LAYERS,
+    "scan": {"cosets", "modular"},
     "empirical": ALPHA_LAYERS | {"empirical"},
 }
 
@@ -758,10 +758,26 @@ TOP_USAGE = """usage: gelfond [-h] [--format {json,csv}] [--precision PRECISION]
      "gelfond scan: error: the following arguments are required: --max\n"),
     (["table", "--format", "csv"],
      TOP_USAGE + "gelfond: error: unrecognized arguments: --format csv\n"),
+    (["alpha", "17", "--", "3"], TOP_USAGE + "gelfond: error: unrecognized arguments: 3\n"),
 ])
 def test_parse_errors_keep_their_text(capsys, monkeypatch, argv, message):
     monkeypatch.setenv("COLUMNS", "80")
     assert run_exit(capsys, *argv) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv, full", [
+    (["--form", "csv", "table"], ["--format", "csv", "table"]),
+    (["sum", "5", "2", "1000", "--meth", "all"], ["sum", "5", "2", "1000", "--method", "all"]),
+    (["alpha", "17", "--per"], ["alpha", "17", "--per-rep"]),
+    (["alpha", "--", "17"], ["alpha", "17"]),
+])
+def test_abbreviations_and_double_dash_parse_as_the_full_form(capsys, argv, full):
+    def untimed(out):  # a JSON envelope less its timing, or the CSV text
+        return {**json.loads(out), "timing_ms": None} if out.startswith("{") else out
+
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, ""), argv
+    assert untimed(out) == untimed(run_cli(capsys, *full)[1]), argv
 
 
 def test_over_long_integer_is_refused_by_its_length(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -263,6 +264,8 @@ def test_fit_window_errors():
         fit_exponent(profile, (9, 11))  # 3 blocks < 4
     with pytest.raises(ValueError):
         fit_exponent(profile, (5, 20))  # outside profile
+    with pytest.raises(ValueError, match=re.escape("(5, 3) must satisfy 1 <= lo <= hi <= 12")):
+        fit_exponent(profile, (5, 3))  # inverted
     zero_blocks = tuple(BlockSup(nu, 0 if nu == 3 else 4, 1) for nu in range(1, 9))
     zero_profile = DyadicProfile(m=1, a=0, max_exp=8, blocks=zero_blocks,
                                  boundary_sums=(0,) * 9)
