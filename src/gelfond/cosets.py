@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .modular import miller_rabin as is_prime, prime_factors
@@ -58,11 +59,11 @@ def multiplicative_order(base: int, m: int) -> int:
     return k
 
 
-def cyclotomic_cosets(m: int) -> CosetDecomposition:
-    """Orbits of t -> 2t (mod m) on {1, ..., m-1}, ordered by smallest element."""
-    _check_odd_modulus(m)
+def _orbits(m: int) -> Iterator[tuple[int, ...]]:
+    """Each orbit of t -> 2t (mod m) on {1, ..., m-1}, in order of its
+    smallest element, marked off in one bytearray(m): the only m-sized state
+    of the walk."""
     seen = bytearray(m)
-    cosets = []
     for t in range(1, m):
         if seen[t]:
             continue
@@ -72,12 +73,20 @@ def cyclotomic_cosets(m: int) -> CosetDecomposition:
             seen[u] = 1
             orbit.append(u)
             u = 2 * u % m
-        cosets.append(tuple(orbit))
+        yield tuple(orbit)
+
+
+def cyclotomic_cosets(m: int) -> CosetDecomposition:
+    """Every orbit of t -> 2t (mod m) on {1, ..., m-1}, ordered by smallest
+    element, held at once: m - 1 ints in all.  A caller that needs one orbit
+    at a time walks _orbits(m) instead."""
+    _check_odd_modulus(m)
+    cosets = tuple(_orbits(m))
     sizes = tuple(len(c) for c in cosets)
     h = math.lcm(*sizes)  # ord_m(2): 2^k fixes every t iff each orbit size divides k
     return CosetDecomposition(
         m=m,
-        cosets=tuple(cosets),
+        cosets=cosets,
         representatives=tuple(c[0] for c in cosets),
         sizes=sizes,
         r=len(cosets),

@@ -17,6 +17,7 @@ envelope check work in floats.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from .cosets import multiplicative_order
@@ -98,8 +99,9 @@ def profile_cost_ns(m: int, max_exp: int) -> int:
     return min(MAXPLUS_CELL_NS * m * max_exp, WALK_STEP_NS * _walk_steps(m, max_exp))
 
 
-def _maxplus_profile(m: int, a: int, max_exp: int) -> tuple[tuple[BlockSup, ...], tuple[int, ...]]:
-    """(blocks, boundary_sums) by the max-plus DP over the signed digit DP.
+def _maxplus_profiles(m: int, max_exp: int, residues: Iterable[int]) -> list[tuple]:
+    """[(blocks, boundary_sums)] for each residue asked for, in order, from
+    one max-plus DP over the signed digit DP.
 
     For x = 2^i + t with t < 2^i, S(m, r, x) = D_i[r] - S(m, r - 2^i, t), so
     hi_i[r] / lo_i[r], the max / min of S(m, r, t) over t < 2^i, satisfy
@@ -108,39 +110,45 @@ def _maxplus_profile(m: int, a: int, max_exp: int) -> tuple[tuple[BlockSup, ...]
         lo_{i+1}[r] = min(lo_i[r], D_i[r] - hi_i[r - 2^i]),
 
     and block nu = i + 1, x in [2^i, 2^(i+1)), has sup S = D_i[a] - lo_i[c]
-    and inf S = D_i[a] - hi_i[c] with c = a - 2^i.  Each extremum and the
-    smallest t attaining it share one integer key: with W = max_exp + 1 and
-    t < 2^max_exp, hi holds value * 2^W - t and lo holds value * 2^W + t, so
-    integer order is value order with ties toward the smaller t.  A block's
-    best key is sup * 2^W - x with 0 < x < 2^W, so sup is its ceiling
-    quotient by 2^W and x the remainder to the next multiple.
+    and inf S = D_i[a] - hi_i[c] with c = a - 2^i.  The hi / lo lists do not
+    depend on a, so one pass reads out the blocks of every residue.  Each
+    extremum and the smallest t attaining it share one integer key: with
+    W = max_exp + 1 and t < 2^max_exp, hi holds value * 2^W - t and lo holds
+    value * 2^W + t, so integer order is value order with ties toward the
+    smaller t.  A block's best key is sup * 2^W - x with 0 < x < 2^W, so sup
+    is its ceiling quotient by 2^W and x the remainder to the next multiple.
     """
     w = max_exp + 1
     hi = lo = [0] * m  # t < 2^0 is t = 0 alone, with S = 0
-    boundary = []
-    blocks = []
-    for i, d in zip(range(max_exp + 1), _levels(m)):
-        boundary.append(d[a])  # D_i[a] = S(m, a, 2^i)
-        if i == max_exp:
-            break
+    reads = [(a, [], []) for a in residues]  # (a, blocks, boundary sums)
+    levels = _levels(m, 1 << w)  # D_i * 2^W, the value part of a key
+    for i, d in zip(range(max_exp), levels):
         base = 1 << i
         pw = base % m
-        c = (a - pw) % m
-        da = d[a] << w
-        top = da - lo[c] - base  # key of the block's sup of S, at x = base + t
-        bottom = hi[c] - da - base  # key of minus its inf
-        best = top if top >= bottom else bottom  # ties of |sup|, |inf|: smaller x
-        sup = -(-best >> w)
-        blocks.append(BlockSup(i + 1, sup, (sup << w) - best))
+        for a, blocks, boundary in reads:
+            da = d[a]
+            boundary.append(da >> w)  # D_i[a] = S(m, a, 2^i)
+            c = (a - pw) % m
+            top = da - lo[c] - base  # key of the block's sup of S, at x = base + t
+            bottom = hi[c] - da - base  # key of minus its inf
+            best = top if top >= bottom else bottom  # ties of |sup|, |inf|: smaller x
+            sup = -(-best >> w)
+            blocks.append(BlockSup(i + 1, sup, (sup << w) - best))
         hi_s = hi[m - pw:] + hi[:m - pw]  # hi_s[r] = hi[r - 2^i]
         lo_s = lo[m - pw:] + lo[:m - pw]
         hi, lo = (
-            [old if old > (k := (v << w) - low - base) else k
-             for old, v, low in zip(hi, d, lo_s)],
-            [old if old < (k := (v << w) - high + base) else k
-             for old, v, high in zip(lo, d, hi_s)],
+            [old if old > (k := v - low - base) else k for old, v, low in zip(hi, d, lo_s)],
+            [old if old < (k := v - high + base) else k for old, v, high in zip(lo, d, hi_s)],
         )
-    return tuple(blocks), tuple(boundary)
+    d = next(levels)  # zip stops on the range first, so this is D_max_exp
+    for a, _, boundary in reads:
+        boundary.append(d[a] >> w)
+    return [(tuple(blocks), tuple(boundary)) for _, blocks, boundary in reads]
+
+
+def _maxplus_profile(m: int, a: int, max_exp: int) -> tuple[tuple[BlockSup, ...], tuple[int, ...]]:
+    """(blocks, boundary_sums) of residue a: the max-plus pass with [a]."""
+    return _maxplus_profiles(m, max_exp, [a])[0]
 
 
 def _walk_profile(m: int, a: int, max_exp: int) -> tuple[tuple[BlockSup, ...], tuple[int, ...]]:

@@ -21,14 +21,13 @@ from typing import NamedTuple
 from .cosets import (
     PRIMITIVE,
     SEMIPRIMITIVE,
-    CosetDecomposition,
     _check_odd_modulus,
     _closed_prime,
+    _orbits,
     classify_prime,
-    cyclotomic_cosets,
     multiplicative_order,
 )
-from .spectral import characteristic_roots
+from .spectral import _orbit_root, _spectrum
 from .sums import _odd_part
 
 #: Gelfond's universal remainder exponent ln 3 / ln 4.
@@ -49,11 +48,6 @@ class ExponentReport(NamedTuple):
 def _log_sine(t: int, m: int) -> float:
     """ln|sin(pi t/m)|, the one formula for every orbit term."""
     return math.log(abs(math.sin(math.pi * t / m)))
-
-
-def _log_sines(m: int) -> list[float]:
-    """ln|sin(pi t/m)| for t = 1, ..., m-1."""
-    return [_log_sine(t, m) for t in range(1, m)]
 
 
 def _orbit_exponent(orbit: tuple[int, ...], m: int, h: int) -> float:
@@ -92,7 +86,7 @@ def _full_range_max(m: int) -> float:
     logarithms and O(m log h) additions in place of m h of each.
     """
     h = multiplicative_order(2, m)
-    ones = [0.0, *_log_sines(m)]  # S_1, by l; slot 0 stays apart, 0 * c = 0
+    ones = [_log_sine(l, m) if l else 0.0 for l in range(m)]  # S_1 by l; slot 0 stays 0
     sums, k = ones, 1
     for bit in bin(h)[3:]:
         c = pow(2, k, m)
@@ -105,16 +99,16 @@ def _full_range_max(m: int) -> float:
     return 1.0 + max(sums[1:]) / (h * math.log(2))
 
 
-def _closed_form(dec: CosetDecomposition) -> float | None:
+def _closed_form(m: int, h: int, r: int, ones: tuple[int, ...]) -> float | None:
     """LAMBDA when 3 | m; ln m / ((m-1) ln 2) when m is a prime with 2
-    primitive (one coset, h = m - 1) or semiprimitive (two cosets of size
-    (m-1)/2, -1 not a power of 2).  Either shape forces m prime: doubling
-    keeps gcd(t, m), so for a composite m the units and the non-units of
-    each gcd would need more cosets, or for m = p^2 two of unequal sizes."""
-    m = dec.m
+    primitive (one coset, h = m - 1) or semiprimitive (r = 2 cosets of size
+    (m-1)/2, -1 not in `ones`, the orbit of 1).  Either shape forces m
+    prime: doubling keeps gcd(t, m), so for a composite m the units and the
+    non-units of each gcd would need more cosets, or for m = p^2 two of
+    unequal sizes."""
     if m % 3 == 0:
         return LAMBDA
-    if dec.h == m - 1 or (dec.r == 2 and 2 * dec.h == m - 1 and m - 1 not in dec.cosets[0]):
+    if h == m - 1 or (r == 2 and 2 * h == m - 1 and m - 1 not in ones):
         return _closed_prime(m)
     return None
 
@@ -124,8 +118,11 @@ def alpha(m: int, full_range: bool = False) -> ExponentReport:
 
     The even fold of sums._odd_query keeps the growth exponent.  For m' = 1
     the partial sums stay in {-1, 0, 1} and the report is `bounded`.  Else
-    one representative per cyclotomic coset of m' is evaluated, walking each
-    coset once; with full_range=True every l in [1, m'-1] is swept as well
+    one representative per cyclotomic coset of m' is evaluated: one walk of
+    the doubling orbits (cosets._orbits) gives each orbit's exponent and its
+    root z_j in turn, and the root spectrum is summed up from the r roots.
+    Only the walk's bytearray(m') is m'-sized; no coset is kept but the
+    orbit of 1.  With full_range=True every l in [1, m'-1] is swept as well
     (m' logarithms and O(m' log h) additions, independent of the cosets) and
     the two maxima must agree to 1e-9.
     """
@@ -143,10 +140,14 @@ def alpha(m: int, full_range: bool = False) -> ExponentReport:
             log2_v=None,
             bounded=True,
         )
-    dec = cyclotomic_cosets(m)
-    per_rep = tuple(
-        (coset[0], _orbit_exponent(coset, m, dec.h)) for coset in dec.cosets
-    )
+    h = multiplicative_order(2, m)
+    per_rep, roots, sizes = [], [], []
+    for orbit in _orbits(m):
+        per_rep.append((orbit[0], _orbit_exponent(orbit, m, h)))
+        roots.append(_orbit_root(orbit, m))
+        sizes.append(len(orbit))
+        if orbit[0] == 1:
+            ones = orbit
     best = max(per_rep, key=lambda item: item[1])
     if full_range:
         full_max = _full_range_max(m)
@@ -155,13 +156,13 @@ def alpha(m: int, full_range: bool = False) -> ExponentReport:
                 f"representative maximum {best[1]!r} disagrees with full-range "
                 f"maximum {full_max!r} for m={m}"
             )
-    spectrum = characteristic_roots(dec)
+    spectrum = _spectrum(m, h, [rep for rep, _ in per_rep], roots, sizes)
     return ExponentReport(
         m=m,
-        per_rep=per_rep,
+        per_rep=tuple(per_rep),
         alpha=best[1],
         argmax_rep=best[0],
-        closed_form=_closed_form(dec),
+        closed_form=_closed_form(m, h, len(per_rep), ones),
         lam=LAMBDA,
         log2_v=math.log2(spectrum.v),
     )
@@ -180,7 +181,7 @@ def alpha_closed_prime(p: int) -> float:
             f"2 is neither a primitive nor a semiprimitive root of {p} "
             f"(class {cls.classification})"
         )
-    log_prod = sum(_log_sines(p))
+    log_prod = sum(_log_sine(t, p) for t in range(1, p))
     log_closed = math.log(p) - (p - 1) * math.log(2)
     rel_err = abs(math.expm1(log_prod - log_closed))
     if rel_err > 1e-10:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
 from .modular import PRIME_BITS, crt_root, crt_symmetric, power_table, split_primes
@@ -162,25 +163,36 @@ def _cluster_max(points: list[complex], rtol: float) -> int:
     return max(counts.values())
 
 
-def characteristic_roots(dec: CosetDecomposition) -> SpectralRoots:
-    """Per-coset roots z_j, effective roots Z_j, dominant magnitude and
-    multiplicity of the h-step recurrence spectrum."""
-    m = dec.m
-    roots = []
-    for coset in dec.cosets:
-        z = 1 + 0j
-        for t in coset:
-            z *= 1 - cmath.exp(2j * math.pi * t / m)
-        roots.append(z)
-    effective = [z ** (dec.h // size) for z, size in zip(roots, dec.sizes)]
-    magnitudes = tuple(abs(z) ** (1.0 / dec.h) for z in effective)
+def _orbit_root(orbit: tuple[int, ...], m: int) -> complex:
+    """z = prod over the orbit of (1 - e^{2 pi i t/m}), in walk order."""
+    z = 1 + 0j
+    for t in orbit:
+        z *= 1 - cmath.exp(2j * math.pi * t / m)
+    return z
+
+
+def _spectrum(m: int, h: int, representatives: Sequence[int], roots: Sequence[complex],
+              sizes: Sequence[int]) -> SpectralRoots:
+    """The SpectralRoots of the per-coset roots z_j of cosets of the given
+    sizes: Z_j = z_j^(h/h_j), their magnitudes, v and eta."""
+    effective = [z ** (h // size) for z, size in zip(roots, sizes)]
+    magnitudes = tuple(abs(z) ** (1.0 / h) for z in effective)
     return SpectralRoots(
         m=m,
-        h=dec.h,
-        representatives=dec.representatives,
+        h=h,
+        representatives=tuple(representatives),
         roots=tuple(roots),
         effective_roots=tuple(effective),
         magnitudes=magnitudes,
         v=max(magnitudes),
         eta=_cluster_max(effective, CLUSTER_RTOL),
     )
+
+
+def characteristic_roots(dec: CosetDecomposition) -> SpectralRoots:
+    """Per-coset roots z_j, effective roots Z_j, dominant magnitude and
+    multiplicity of the h-step recurrence spectrum: one _orbit_root per
+    coset of dec, summed up by _spectrum, the two steps exponent.alpha
+    takes one orbit at a time."""
+    roots = [_orbit_root(coset, dec.m) for coset in dec.cosets]
+    return _spectrum(dec.m, dec.h, dec.representatives, roots, dec.sizes)

@@ -70,7 +70,7 @@ def newman_sum_enumerate(m: int, a: int, x: int, cap: int = ENUMERATION_CAP) -> 
     return total
 
 
-def _levels(m: int) -> Iterator[list[int]]:
+def _levels(m: int, unit: int = 1) -> Iterator[list[int]]:
     """The signed digit DP: D_0, D_1, ... with
 
         D_i[c] = sum of (-1)^s(t) over 0 <= t < 2^i with t == c (mod m),
@@ -78,9 +78,10 @@ def _levels(m: int) -> Iterator[list[int]]:
     so D_n[a] = S(m, a, 2^n).  The t < 2^(i+1) with bit i set are 2^i + t'
     with one more 1-bit, hence D_{i+1}[c] = D_i[c] - D_i[c - 2^i].  Only the
     current level is live: m integers of at most i bits.  Each level is a
-    fresh list, so a caller may keep one while the pass moves on.
+    fresh list, so a caller may keep one while the pass moves on.  The DP
+    is linear, so started from `unit` in place of 1 it yields unit * D_i.
     """
-    d = [1] + [0] * (m - 1)
+    d = [unit] + [0] * (m - 1)
     pw = 1 % m  # 2^i mod m
     while True:
         yield d

@@ -11,6 +11,7 @@ from gelfond import (
     alpha,
     alpha_closed_prime,
     alpha_for_rep,
+    characteristic_roots,
     classify_prime,
     cyclotomic_cosets,
     is_prime,
@@ -82,15 +83,12 @@ def test_full_range_sweep_equals_naive_max():
 
 
 def test_full_range_sweep_catches_a_missing_coset(monkeypatch):
-    real = exponent.cyclotomic_cosets
+    real = exponent._orbits
 
     def without_argmax(m):
-        dec = real(m)
-        kept = [c for c in dec.cosets if 3 not in c]  # the argmax coset of 17
-        return dec._replace(cosets=tuple(kept), representatives=tuple(c[0] for c in kept),
-                            sizes=tuple(map(len, kept)), r=len(kept))
+        return (c for c in real(m) if 3 not in c)  # the argmax coset of 17
 
-    monkeypatch.setattr(exponent, "cyclotomic_cosets", without_argmax)
+    monkeypatch.setattr(exponent, "_orbits", without_argmax)
     assert alpha(17).argmax_rep == 1  # the coset route alone cannot tell
     with pytest.raises(ArithmeticError):
         alpha(17, full_range=True)
@@ -122,10 +120,53 @@ def test_per_rep_equals_alpha_for_rep_exactly(traced_65537):
 
 
 def test_alpha_keeps_no_modulus_sized_table(traced_65537):
-    # the cosets of 65537 alone take about 2.5 MiB; an m-entry table of
-    # complex roots or log-sines added another 2.5 MiB
+    # alpha walks the cosets one orbit at a time, so the orbit walk's
+    # bytearray(m) (64 KiB) is its only m-sized state: the peak is about
+    # 0.65 MiB.  Holding all cosets of 65537 at once, as cyclotomic_cosets
+    # does, takes about 2.8 MiB, and an m-entry table of complex roots or
+    # log-sines another 2.5 MiB
     _, peak = traced_65537
-    assert peak < 4.5 * 2**20
+    assert peak < 1.25 * 2**20
+
+
+def _reference_alpha(m):
+    """alpha(m) composed from the whole decomposition: cyclotomic_cosets,
+    _orbit_exponent per coset and characteristic_roots."""
+    while m % 2 == 0:
+        m //= 2
+    if m == 1:
+        return ExponentReport(m=1, per_rep=(), alpha=0.0, argmax_rep=None,
+                              closed_form=None, lam=LAMBDA, log2_v=None, bounded=True)
+    dec = cyclotomic_cosets(m)
+    per_rep = tuple((c[0], exponent._orbit_exponent(c, m, dec.h)) for c in dec.cosets)
+    best = max(per_rep, key=lambda item: item[1])
+    return ExponentReport(
+        m=m,
+        per_rep=per_rep,
+        alpha=best[1],
+        argmax_rep=best[0],
+        closed_form=exponent._closed_form(m, dec.h, dec.r, dec.cosets[0]),
+        lam=LAMBDA,
+        log2_v=math.log2(characteristic_roots(dec).v),
+    )
+
+
+def test_orbit_walk_equals_the_whole_decomposition(traced_65537):
+    # field by field, every float bit for bit: repr tells floats apart that
+    # == would not (0.0 and -0.0)
+    for m in [*range(1, 301), 4095]:
+        assert repr(alpha(m)) == repr(_reference_alpha(m)), m
+    report, _ = traced_65537
+    assert repr(report) == repr(_reference_alpha(65537))
+
+
+@pytest.mark.xfail(strict=True, raises=OverflowError,
+                   reason="z ** (h // size) overflows a complex at m = 5^5 k")
+@pytest.mark.parametrize("m", [3125, 9375])
+def test_alpha_at_multiples_of_5_to_the_5(m):
+    report = alpha(m)
+    assert report.alpha == pytest.approx(exponent._full_range_max(m), abs=1e-12)
+    assert report.log2_v == pytest.approx(report.alpha, abs=1e-9)
 
 
 def test_alpha_constant_on_cosets():
@@ -181,7 +222,8 @@ def test_closed_form_reads_the_cosets_like_the_prime_classification():
     closed = 0
     for m in range(3, 3000, 2):
         expected = by_classification(m)
-        assert exponent._closed_form(cyclotomic_cosets(m)) == expected, m
+        dec = cyclotomic_cosets(m)
+        assert exponent._closed_form(m, dec.h, dec.r, dec.cosets[0]) == expected, m
         closed += expected is not None and m % 3 != 0
     assert closed == 250  # 166 primitive and 84 semiprimitive primes 5 <= p < 3000
     # through alpha, on the odd part: 2 is primitive mod 2027, semiprimitive mod 2999
