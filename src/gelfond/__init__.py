@@ -62,11 +62,7 @@ _PUBLIC = {
         "simple_prime_c1",
         "verify_recurrence",
     ),
-    "spectral": (
-        "SpectralRoots",
-        "characteristic_roots",
-        "newman_sum_explicit",
-    ),
+    "spectral": ("newman_sum_explicit",),
     "sums": (
         "ENUMERATION_CAP",
         "EnumerationCapError",

@@ -81,10 +81,11 @@ def _ratio(n: int, d: int):
 
 
 def _truncate(x: float, digits: int) -> str:
-    """Truncation (not rounding) to a fixed number of decimals, as strings."""
-    s = f"{x:.{digits + 6}f}"
-    point = s.index(".")
-    return s[: point + digits + 1]
+    """x truncated toward zero (not rounded) to `digits` decimals, read
+    exactly from its integer ratio."""
+    n, d = x.as_integer_ratio()
+    whole, frac = divmod(abs(n) * 10**digits // d, 10**digits)
+    return f"{'-' * (n < 0)}{whole}.{frac:0{digits}d}"
 
 
 # ---------------------------------------------------------------- commands

@@ -11,10 +11,19 @@ spectral module, and collapses to closed forms in special cases:
 ln3/ln4 whenever 3 | m, and ln p / ((p-1) ln 2) for primes where 2 is a
 primitive or semiprimitive root.  An even m has the exponent of its odd
 part; a power of two, m = 1 included, has bounded partial sums.
+
+This module also owns the floating-point root spectrum of the cosets: per
+coset z_j = prod_{t in C_j} (1 - e^{2 pi i t/m}), whose h-step products
+collapse to the effective roots Z_j = z_j^(h/h_j) of the integer recurrence.
+alpha reports their dominant magnitude v = max |Z_j|^(1/h) as log2_v and
+their largest cluster of coincident roots as eta.  The phases t/m are
+reduced mod m by integer arithmetic before any complex exponential is
+taken, so there is no phase drift for large k.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -27,11 +36,13 @@ from .cosets import (
     classify_prime,
     multiplicative_order,
 )
-from .spectral import _orbit_root, _spectrum
 from .sums import _odd_part
 
 #: Gelfond's universal remainder exponent ln 3 / ln 4.
 LAMBDA = math.log(3) / math.log(4)
+
+#: Two effective roots closer than this (relatively) count as coincident.
+CLUSTER_RTOL = 1e-8
 
 
 class ExponentReport(NamedTuple):
@@ -43,6 +54,7 @@ class ExponentReport(NamedTuple):
     lam: float
     log2_v: float | None
     bounded: bool = False  # power-of-two modulus: partial sums stay in {-1, 0, 1}
+    eta: int | None = None  # largest cluster of coincident Z_j; None when bounded
 
 
 def _log_sine(t: int, m: int) -> float:
@@ -60,6 +72,36 @@ def _orbit_exponent(orbit: tuple[int, ...], m: int, h: int) -> float:
         for term in terms:
             acc += term
     return 1.0 + acc / (h * math.log(2))
+
+
+def _orbit_root(orbit: tuple[int, ...], m: int) -> complex:
+    """z = prod over the orbit of (1 - e^{2 pi i t/m}), in walk order."""
+    z = 1 + 0j
+    for t in orbit:
+        z *= 1 - cmath.exp(2j * math.pi * t / m)
+    return z
+
+
+def _cluster_max(points: list[complex], rtol: float) -> int:
+    """Largest group of points pairwise-linked by |p - q| <= rtol*max(|p|,|q|)."""
+    n = len(points)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(points[i] - points[j]) <= rtol * max(abs(points[i]), abs(points[j])):
+                parent[find(i)] = find(j)
+    counts: dict[int, int] = {}
+    for i in range(n):
+        root = find(i)
+        counts[root] = counts.get(root, 0) + 1
+    return max(counts.values())
 
 
 def alpha_for_rep(m: int, l: int) -> float:
@@ -120,7 +162,7 @@ def alpha(m: int, full_range: bool = False) -> ExponentReport:
     the partial sums stay in {-1, 0, 1} and the report is `bounded`.  Else
     one representative per cyclotomic coset of m' is evaluated: one walk of
     the doubling orbits (cosets._orbits) gives each orbit's exponent and its
-    root z_j in turn, and the root spectrum is summed up from the r roots.
+    effective root Z_j in turn, and v and eta are read from the r roots.
     Only the walk's bytearray(m') is m'-sized; no coset is kept but the
     orbit of 1.  With full_range=True every l in [1, m'-1] is swept as well
     (m' logarithms and O(m' log h) additions, independent of the cosets) and
@@ -141,11 +183,10 @@ def alpha(m: int, full_range: bool = False) -> ExponentReport:
             bounded=True,
         )
     h = multiplicative_order(2, m)
-    per_rep, roots, sizes = [], [], []
+    per_rep, effective = [], []
     for orbit in _orbits(m):
         per_rep.append((orbit[0], _orbit_exponent(orbit, m, h)))
-        roots.append(_orbit_root(orbit, m))
-        sizes.append(len(orbit))
+        effective.append(_orbit_root(orbit, m) ** (h // len(orbit)))
         if orbit[0] == 1:
             ones = orbit
     best = max(per_rep, key=lambda item: item[1])
@@ -156,7 +197,6 @@ def alpha(m: int, full_range: bool = False) -> ExponentReport:
                 f"representative maximum {best[1]!r} disagrees with full-range "
                 f"maximum {full_max!r} for m={m}"
             )
-    spectrum = _spectrum(m, h, [rep for rep, _ in per_rep], roots, sizes)
     return ExponentReport(
         m=m,
         per_rep=tuple(per_rep),
@@ -164,7 +204,8 @@ def alpha(m: int, full_range: bool = False) -> ExponentReport:
         argmax_rep=best[0],
         closed_form=_closed_form(m, h, len(per_rep), ones),
         lam=LAMBDA,
-        log2_v=math.log2(spectrum.v),
+        log2_v=math.log2(max(abs(z) ** (1.0 / h) for z in effective)),
+        eta=_cluster_max(effective, CLUSTER_RTOL),
     )
 
 

@@ -1,8 +1,9 @@
 """Integer linear recurrences satisfied by S(m, a, .) at h-step dyadic scales.
 
-The effective roots Z_j of the spectral module are the roots of a monic
-degree-r polynomial z^r + c_1 z^(r-1) + ... + c_r whose integer coefficients
-drive both
+The effective roots Z_j = z_j^(h/h_j) of the spectral module (exponent.alpha
+reports their dominant magnitude and coincidences in floating point) are the
+roots of a monic degree-r polynomial z^r + c_1 z^(r-1) + ... + c_r whose
+integer coefficients drive both
 
     S(m, a, 2^(n + r*h + 1)) + sum_q c_q S(m, a, 2^(n + (r-q)*h + 1)) = 0
     S(m, a, 2^(r*h + 1) u)   + sum_q c_q S(m, a, 2^((r-q)*h + 1) u)   = 0
@@ -33,9 +34,9 @@ class SingularSystemError(ArithmeticError):
     """No h-phase of S(m, a, .) has minimal order r, so the sums alone do
     not fix the r coefficients.
 
-    This happens when effective roots coincide (eta > 1, first at m = 15):
-    every phase then satisfies a recurrence of order below r.  It is
-    reported with the largest minimal order found, never papered over.
+    This happens when effective roots coincide (alpha(m).eta > 1, first at
+    m = 15): every phase then satisfies a recurrence of order below r.  It
+    is reported with the largest minimal order found, never papered over.
     """
 
 

@@ -1,4 +1,4 @@
-"""Character-sum evaluation of Newman-like sums and their root spectrum.
+"""Exact character-sum evaluation of Newman-like sums.
 
 For beta = t/m the partial sums factor through
 
@@ -20,31 +20,13 @@ joined by CRT.  An even m = 2^k m' is folded to its odd part in closed form
 by sums._odd_query, and the blocks P_g are those of sums._set_bits, the
 split the DP reads too.  Past that shared front end the route reads only the
 bits of N and w, never the digit DP, so it stays an independent check on it.
-
-The doubling orbit of t also yields the coset root spectrum: per coset
-z_j = prod_{t in C_j} (1 - e^{2 pi i t/m}), and the h-step products collapse
-to the effective roots Z_j = z_j^(h/h_j) that drive the integer recurrence.
-
-All phases are reduced to exact rationals (t * 2^k mod m) / m by integer
-arithmetic before any complex exponential is taken, so there is no phase
-drift for large k.
+The floating-point root spectrum of the same cosets is exponent.alpha's.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-from collections.abc import Sequence
-from typing import TYPE_CHECKING, NamedTuple
-
 from .modular import PRIME_BITS, crt_root, crt_symmetric, power_table, split_primes
 from .sums import _check_query, _odd_query, _set_bits
-
-if TYPE_CHECKING:  # an annotation only, so `sum` never runs the cosets layer
-    from .cosets import CosetDecomposition
-
-#: Two effective roots closer than this (relatively) count as coincident.
-CLUSTER_RTOL = 1e-8
 
 #: Time of one step (one t, one level of x, one split prime) of the modular
 #: character sum, measured for m from 1 to 10^5 on a 2-CPU Xeon with
@@ -57,17 +39,6 @@ EXPLICIT_STEP_NS = 250
 #: per prime about 1.5x that at 16 and 3x at 40 (2-CPU Xeon, Python 3.11),
 #: so a larger x takes one pass per group of this many primes.
 PASS_PRIMES = 8
-
-
-class SpectralRoots(NamedTuple):
-    m: int
-    h: int
-    representatives: tuple[int, ...]
-    roots: tuple[complex, ...]            # z_j, one per coset
-    effective_roots: tuple[complex, ...]  # Z_j = z_j^(h/h_j)
-    magnitudes: tuple[float, ...]         # |Z_j|^(1/h)
-    v: float                              # max of magnitudes
-    eta: int                              # largest cluster of coincident Z_j
 
 
 def _character_sum_mod(m: int, a: int, terms: dict, top: int, p: int, w: int) -> int:
@@ -139,60 +110,3 @@ def newman_sum_explicit(m: int, a: int, x: int) -> int:
         (_character_sum_mod(m, a, terms, x.bit_length() - 1, modulus, w), modulus)
         for modulus, w in map(crt_root, (primes[i::passes] for i in range(passes)))
     )
-
-
-def _cluster_max(points: list[complex], rtol: float) -> int:
-    """Largest group of points pairwise-linked by |p - q| <= rtol*max(|p|,|q|)."""
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= rtol * max(abs(points[i]), abs(points[j])):
-                parent[find(i)] = find(j)
-    counts: dict[int, int] = {}
-    for i in range(n):
-        root = find(i)
-        counts[root] = counts.get(root, 0) + 1
-    return max(counts.values())
-
-
-def _orbit_root(orbit: tuple[int, ...], m: int) -> complex:
-    """z = prod over the orbit of (1 - e^{2 pi i t/m}), in walk order."""
-    z = 1 + 0j
-    for t in orbit:
-        z *= 1 - cmath.exp(2j * math.pi * t / m)
-    return z
-
-
-def _spectrum(m: int, h: int, representatives: Sequence[int], roots: Sequence[complex],
-              sizes: Sequence[int]) -> SpectralRoots:
-    """The SpectralRoots of the per-coset roots z_j of cosets of the given
-    sizes: Z_j = z_j^(h/h_j), their magnitudes, v and eta."""
-    effective = [z ** (h // size) for z, size in zip(roots, sizes)]
-    magnitudes = tuple(abs(z) ** (1.0 / h) for z in effective)
-    return SpectralRoots(
-        m=m,
-        h=h,
-        representatives=tuple(representatives),
-        roots=tuple(roots),
-        effective_roots=tuple(effective),
-        magnitudes=magnitudes,
-        v=max(magnitudes),
-        eta=_cluster_max(effective, CLUSTER_RTOL),
-    )
-
-
-def characteristic_roots(dec: CosetDecomposition) -> SpectralRoots:
-    """Per-coset roots z_j, effective roots Z_j, dominant magnitude and
-    multiplicity of the h-step recurrence spectrum: one _orbit_root per
-    coset of dec, summed up by _spectrum, the two steps exponent.alpha
-    takes one orbit at a time."""
-    roots = [_orbit_root(coset, dec.m) for coset in dec.cosets]
-    return _spectrum(dec.m, dec.h, dec.representatives, roots, dec.sizes)

@@ -11,7 +11,6 @@ from gelfond import (
     alpha,
     alpha_closed_prime,
     alpha_for_rep,
-    characteristic_roots,
     classify_prime,
     cyclotomic_cosets,
     is_prime,
@@ -131,7 +130,8 @@ def test_alpha_keeps_no_modulus_sized_table(traced_65537):
 
 def _reference_alpha(m):
     """alpha(m) composed from the whole decomposition: cyclotomic_cosets,
-    _orbit_exponent per coset and characteristic_roots."""
+    then _orbit_exponent and _orbit_root per coset, and v and eta of the
+    effective roots Z_j = z_j^(h/h_j) taken here."""
     while m % 2 == 0:
         m //= 2
     if m == 1:
@@ -140,6 +140,8 @@ def _reference_alpha(m):
     dec = cyclotomic_cosets(m)
     per_rep = tuple((c[0], exponent._orbit_exponent(c, m, dec.h)) for c in dec.cosets)
     best = max(per_rep, key=lambda item: item[1])
+    effective = [exponent._orbit_root(c, m) ** (dec.h // size)
+                 for c, size in zip(dec.cosets, dec.sizes)]
     return ExponentReport(
         m=m,
         per_rep=per_rep,
@@ -147,7 +149,8 @@ def _reference_alpha(m):
         argmax_rep=best[0],
         closed_form=exponent._closed_form(m, dec.h, dec.r, dec.cosets[0]),
         lam=LAMBDA,
-        log2_v=math.log2(characteristic_roots(dec).v),
+        log2_v=math.log2(max(abs(z) ** (1.0 / dec.h) for z in effective)),
+        eta=exponent._cluster_max(effective, exponent.CLUSTER_RTOL),
     )
 
 
@@ -158,6 +161,26 @@ def test_orbit_walk_equals_the_whole_decomposition(traced_65537):
         assert repr(alpha(m)) == repr(_reference_alpha(m)), m
     report, _ = traced_65537
     assert repr(report) == repr(_reference_alpha(65537))
+
+
+#: eta, the largest cluster of coincident effective roots, of every odd
+#: m < 300 and of 4095 where it is not 1.
+ETA_ABOVE_ONE = {
+    15: 2, 21: 2, 35: 2, 39: 2, 45: 4, 51: 2, 55: 2, 63: 2, 69: 2, 75: 4, 77: 2,
+    85: 2, 87: 2, 91: 2, 93: 2, 95: 2, 105: 4, 111: 2, 115: 2, 117: 2, 119: 2,
+    123: 2, 133: 2, 135: 6, 141: 2, 143: 2, 147: 4, 153: 2, 155: 2, 159: 2,
+    165: 2, 175: 4, 183: 2, 187: 2, 189: 2, 195: 2, 203: 2, 207: 4, 213: 2,
+    215: 2, 219: 2, 221: 2, 225: 8, 231: 2, 235: 2, 237: 2, 245: 4, 247: 2,
+    253: 2, 255: 2, 259: 2, 261: 4, 267: 2, 273: 4, 275: 2, 279: 2, 285: 2,
+    287: 2, 291: 4, 295: 2, 299: 2, 4095: 6,
+}
+
+
+def test_alpha_reports_eta():
+    for m in [*range(3, 300, 2), 4095]:
+        assert alpha(m).eta == ETA_ABOVE_ONE.get(m, 1), m
+    assert alpha(30).eta == alpha(15).eta  # reported on the odd part
+    assert alpha(8).eta is None  # bounded: no roots
 
 
 @pytest.mark.xfail(strict=True, raises=OverflowError,

@@ -15,7 +15,6 @@ from gelfond import (
     PrimeClassification,
     RecurrenceSpec,
     RemainderCheck,
-    SpectralRoots,
     VerificationReport,
     alpha,
     cyclotomic_cosets,
@@ -29,14 +28,12 @@ FIELDS = {
     EnvelopeReport: ("m", "a", "alpha", "calib_end", "upper_c", "upper_violations",
                      "omega_attained", "omega_margin"),
     ExponentReport: ("m", "per_rep", "alpha", "argmax_rep", "closed_form", "lam",
-                     "log2_v", "bounded"),
+                     "log2_v", "bounded", "eta"),
     ParityCount: ("t_even", "t_odd"),
     PrimeClassification: ("p", "classification", "ord2", "minus_one_solvable"),
     RecurrenceSpec: ("m", "r", "h", "coefficients"),
     RemainderCheck: ("m", "a", "max_exp", "ratios", "max_ratio", "argmax_nu",
                      "monotone_top"),
-    SpectralRoots: ("m", "h", "representatives", "roots", "effective_roots",
-                    "magnitudes", "v", "eta"),
     VerificationReport: ("m", "a", "depth", "multipliers", "checks", "max_defect"),
 }
 
@@ -60,6 +57,7 @@ def test_exponent_report_bounded_default():
     report = ExponentReport(m=3, per_rep=(), alpha=0.0, argmax_rep=None,
                             closed_form=None, lam=LAMBDA, log2_v=None)
     assert report.bounded is False
+    assert report.eta is None
     assert alpha(17).bounded is False
     assert alpha(8).bounded is True
 

@@ -7,9 +7,9 @@ import sys
 
 import pytest
 
-from gelfond import modular, spectral, sums
+from gelfond import exponent, modular, spectral, sums
 from gelfond import (
-    characteristic_roots,
+    alpha,
     cyclotomic_cosets,
     newman_sum_dp,
     newman_sum_enumerate,
@@ -119,33 +119,47 @@ def test_pow2_validation():
         newman_sum_explicit(17, 17, 1 << 3)
 
 
+# The coset root spectrum z_j, Z_j = z_j^(h/h_j), v and eta, which
+# exponent.alpha computes one orbit at a time.
+
+
+def _roots(dec):
+    """z_j, one per coset of dec, by exponent._orbit_root."""
+    return [exponent._orbit_root(coset, dec.m) for coset in dec.cosets]
+
+
+def _effective_roots(dec):
+    return [z ** (dec.h // size) for z, size in zip(_roots(dec), dec.sizes)]
+
+
 def test_roots_m3():
-    spec = characteristic_roots(cyclotomic_cosets(3))
-    assert spec.roots[0] == pytest.approx(3.0)
-    assert spec.v == pytest.approx(math.sqrt(3))
-    assert spec.eta == 1
+    assert _roots(cyclotomic_cosets(3))[0] == pytest.approx(3.0)
+    report = alpha(3)
+    assert 2**report.log2_v == pytest.approx(math.sqrt(3))
+    assert report.eta == 1
 
 
 def test_roots_m17():
-    spec = characteristic_roots(cyclotomic_cosets(17))
-    z1, z2 = spec.effective_roots
+    z1, z2 = _effective_roots(cyclotomic_cosets(17))
     assert z1 + z2 == pytest.approx(34.0, abs=1e-9)
     assert z1 * z2 == pytest.approx(17.0, abs=1e-9)
-    assert spec.v == pytest.approx((17 + 4 * math.sqrt(17)) ** 0.125, abs=1e-12)
-    assert spec.eta == 1
+    report = alpha(17)
+    assert 2**report.log2_v == pytest.approx((17 + 4 * math.sqrt(17)) ** 0.125, abs=1e-12)
+    assert report.eta == 1
 
 
 def test_roots_coincide_for_eta_cases():
     # the two unit-coset roots of m=15 are both exactly -1
-    spec15 = characteristic_roots(cyclotomic_cosets(15))
-    assert spec15.eta == 2
-    assert sorted(round(z.real) for z in spec15.effective_roots) == [-1, -1, 5, 9]
+    assert alpha(15).eta == 2
+    effective = _effective_roots(cyclotomic_cosets(15))
+    assert sorted(round(z.real) for z in effective) == [-1, -1, 5, 9]
     # m=45 piles four effective roots at -1
-    assert characteristic_roots(cyclotomic_cosets(45)).eta == 4
+    assert alpha(45).eta == 4
 
 
 def _table_roots(dec):
-    """characteristic_roots as it was with an m-entry table of e^{2 pi i t/m}."""
+    """z_j, log2 v and eta as they were computed with an m-entry table of
+    e^{2 pi i t/m}."""
     m = dec.m
     table = [cmath.exp(2j * math.pi * t / m) for t in range(m)]
     roots = []
@@ -155,25 +169,21 @@ def _table_roots(dec):
             z *= 1 - table[t]
         roots.append(z)
     effective = [z ** (dec.h // size) for z, size in zip(roots, dec.sizes)]
-    magnitudes = tuple(abs(z) ** (1.0 / dec.h) for z in effective)
-    return spectral.SpectralRoots(
-        m=m, h=dec.h, representatives=dec.representatives, roots=tuple(roots),
-        effective_roots=tuple(effective), magnitudes=magnitudes, v=max(magnitudes),
-        eta=spectral._cluster_max(effective, spectral.CLUSTER_RTOL),
-    )
+    v = max(abs(z) ** (1.0 / dec.h) for z in effective)
+    return roots, math.log2(v), exponent._cluster_max(effective, exponent.CLUSTER_RTOL)
 
 
 def test_roots_equal_the_table_oracle_exactly():
     for m in [*range(3, 300, 2), 65537]:
         dec = cyclotomic_cosets(m)
-        assert characteristic_roots(dec) == _table_roots(dec), m
+        report = alpha(m)
+        assert (_roots(dec), report.log2_v, report.eta) == _table_roots(dec), m
 
 
 def test_root_product_equals_modulus():
     for m in range(3, 100, 2):
-        spec = characteristic_roots(cyclotomic_cosets(m))
         prod = 1 + 0j
-        for z in spec.roots:
+        for z in _roots(cyclotomic_cosets(m)):
             prod *= z
         assert abs(prod - m) <= 1e-12 * m, m
 
@@ -182,8 +192,7 @@ def test_root_magnitude_sine_products():
     # |z_j| = prod over the coset of 2 sin(pi t / m)
     for m in range(3, 100, 2):
         dec = cyclotomic_cosets(m)
-        spec = characteristic_roots(dec)
-        for coset, z in zip(dec.cosets, spec.roots):
+        for coset, z in zip(dec.cosets, _roots(dec)):
             sines = math.prod(2 * math.sin(math.pi * t / m) for t in coset)
             assert abs(z) == pytest.approx(sines, rel=1e-9), (m, coset)
 
@@ -192,7 +201,6 @@ def test_dominant_magnitude_matches_sine_form():
     # v = 2 max_l (prod_{k<h} |sin(pi l 2^k / m)|)^(1/h)
     for m in (9, 15, 17, 21, 33, 47):
         dec = cyclotomic_cosets(m)
-        spec = characteristic_roots(dec)
         best = 0.0
         for l in range(1, m):
             prod = 1.0
@@ -201,4 +209,4 @@ def test_dominant_magnitude_matches_sine_form():
                 prod *= abs(math.sin(math.pi * u / m))
                 u = 2 * u % m
             best = max(best, 2 * prod ** (1 / dec.h))
-        assert spec.v == pytest.approx(best, rel=1e-12)
+        assert 2**alpha(m).log2_v == pytest.approx(best, rel=1e-12)
