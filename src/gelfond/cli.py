@@ -25,13 +25,15 @@ BIG_INT = 1 << 53
 #: Largest number of DP cells that `sum` (dp, all) and `counts` accept.  The
 #: DP folds m to its odd part m' = m >> k, k = v2(m), and x to x >> k, then
 #: costs m' * bit_length(x >> k) additions of integers of at most
-#: bit_length(x) bits, with O(m') of them live.  At this bound a query took
-#: 3.2 s and 22 MiB at m = 1173 with a 4300-digit x (the longest the CLI
-#: parses), whose additions are wide, and 0.3 s and 207 MiB at m = 2^23 - 1
-#: with a 2-bit x, on a 2-CPU Xeon with Python 3.11.
+#: bit_length(x) bits, with O(m') of them live (about 0.6 m' additions per
+#: level on the half-state pass of odd m' >= 65).  At this bound a query took
+#: 4.8 s and 19 MiB at m = 1173 with a 4300-digit x (the longest the CLI
+#: parses), whose additions are wide, and 0.5 s and 143 MiB at m = 2^23 - 1
+#: with a 2-bit x, on a 2-CPU Xeon with Python 3.11; the full-vector pass
+#: took 8.8 s and 21 MiB, and 0.8 s and 207 MiB, timed alongside.
 MAX_DP_WORK = 1 << 24
 #: Largest predicted profile time (empirical.profile_cost_ns) that `empirical`
-#: accepts.  Every max_exp <= 32 predicts at most 0.12 s for any m, so only
+#: accepts.  Every max_exp <= 32 predicts at most 0.08 s for any m, so only
 #: deeper profiles of larger m are refused.  At this bound a run took at most
 #: 1.1 s and 25 MiB (m = 6510 at max_exp = 256, m = 41666 at max_exp = 40) on
 #: the same machine; the remainder scan picks its cheaper route too and stays

@@ -29,12 +29,18 @@ PROFILE_MAX_EXP = 256
 #: Remainder-ratio scans sample x = 2^nu only, capped here.
 REMAINDER_MAX_EXP = 28
 #: Measured cost in ns of one step of each exact route (2-CPU Xeon, Python
-#: 3.11): a (residue, level) cell of the max-plus DP, a cell of the signed
-#: digit DP, and one class member visited by the walk.  Max-plus cells cost
-#: 300-420 ns at nu = 32 to 40 and, as their keys grow, 590-680 ns at
-#: nu = 256 for m of a few thousand; at small m the per-level work dominates.
+#: 3.11): a (residue, level) cell of the max-plus DP from depth 40 on, a
+#: cell of the signed digit DP per class of the odd part of m, and one class
+#: member visited by the walk.  Max-plus cells are cheaper at shallow depths
+#: (_maxplus_ns): timing the two profile routes against each other put
+#: their crossovers at m = 150, 620, 2200 and 8500-9300 for depths 20, 24,
+#: 28 and 32, where a cell costs about two walk steps, so half of
+#: MAXPLUS_CELL_NS.  Where the refusal bound of deep profiles sits, cells
+#: took 580 ns at (m, nu) = (6510, 256) and 576 ns at (41666, 40).  Digit
+#: cells were timed at depth 28 on the half-state pass that odd parts from
+#: 65 on take, at about half the full pass's cost.
 MAXPLUS_CELL_NS = 600
-DIGIT_CELL_NS = 50
+DIGIT_CELL_NS = 30
 WALK_STEP_NS = 150
 
 
@@ -90,13 +96,20 @@ def _walk_steps(m: int, max_exp: int) -> int:
     return (1 << max_exp) // m + 1
 
 
+def _maxplus_ns(m: int, max_exp: int) -> int:
+    """Predicted time in ns of the max-plus DP's m * max_exp cells, each
+    costing half of MAXPLUS_CELL_NS up to depth 32 and all of it from depth
+    40 on, linearly in between."""
+    return MAXPLUS_CELL_NS * m * max_exp * (8 + min(max(max_exp - 32, 0), 8)) // 16
+
+
 def profile_cost_ns(m: int, max_exp: int) -> int:
     """Predicted time of dyadic_profile(m, a, max_exp) in ns on the machine
     of the step costs above: its cheaper route, the max-plus DP's
     m * max_exp cells or the walk's 2^max_exp / m class members.  A max_exp
     that dyadic_profile refuses is refused here too."""
     _check_max_exp(max_exp)
-    return min(MAXPLUS_CELL_NS * m * max_exp, WALK_STEP_NS * _walk_steps(m, max_exp))
+    return min(_maxplus_ns(m, max_exp), WALK_STEP_NS * _walk_steps(m, max_exp))
 
 
 def _maxplus_profiles(m: int, max_exp: int, residues: Iterable[int]) -> list[tuple]:
@@ -183,12 +196,13 @@ def dyadic_profile(m: int, a: int, max_exp: int) -> DyadicProfile:
     Two exact routes give identical profiles; the cheaper one runs.  The
     max-plus DP costs m * max_exp cells with O(m) live integers; the class
     walk costs 2^max_exp / m steps in O(1) memory.  The DP wins while
-    m^2 * max_exp is below about 2^max_exp / 4, so it takes every small m
-    and every deep profile; the walk takes large m at shallow depths.
+    m^2 * max_exp is below about 2^max_exp / 2 up to depth 32 (2^max_exp / 4
+    from depth 40 on), so it takes every small m and every deep profile; the
+    walk takes large m at shallow depths.
     """
     _check_query(m, a, 1)
     _check_max_exp(max_exp)
-    if MAXPLUS_CELL_NS * m * max_exp <= WALK_STEP_NS * _walk_steps(m, max_exp):
+    if _maxplus_ns(m, max_exp) <= WALK_STEP_NS * _walk_steps(m, max_exp):
         blocks, boundary = _maxplus_profile(m, a, max_exp)
     else:
         blocks, boundary = _walk_profile(m, a, max_exp)

@@ -11,23 +11,40 @@ the binary expansion of x.  Everything here is exact integer arithmetic.
 An even modulus m = 2^k m' is folded to its odd part in closed form: with
 a0 = a mod 2^k, the n == a (mod m) are n = 2^k j + a0, j == a >> k (mod m'),
 with s(n) = s(j) + s(a0), and n < x exactly when j < ceil((x - a0) / 2^k), so
-S(m, a, x) = (-1)^s(a0) S(m', a >> k, (x + 2^k - 1 - a0) >> k).  The DP scans the bits of x least significant first and keeps one list of
-m' signed class sums, so S(m, a, x) costs O(m' log x) integer additions with
-O(m') live integers of at most log x bits.  Level n of that pass is
-S(m', a', 2^n), so dyadic_sums returns every S(m, a, 2^n), n <= N, from one
-pass, and parity_counts is (count +- S) / 2 with the exact class count of
-the original m.
+S(m, a, x) = (-1)^s(a0) S(m', a >> k, (x + 2^k - 1 - a0) >> k).  The DP scans
+the bits of x least significant first, one level of m' signed class sums per
+bit, so S(m, a, x) costs O(m' log x) integer additions with O(m') live
+integers of at most log x bits.  Level n of that pass is S(m', a', 2^n), so
+dyadic_sums returns every S(m, a, 2^n), n <= N, from one pass, and
+parity_counts is (count +- S) / 2 with the exact class count of the original
+m.
+
+Two passes produce the levels.  _levels keeps all m' sums of a level; the
+max-plus profiles of the empirical module read it, since they need every
+residue.  _half_levels keeps (m' + 1) / 2 of them, the rest following by a
+complement symmetry, in about 0.6 m' operations per level.  The sums read
+one or the other through _level_reads: the full vector below _HALF_PASS_MIN,
+where its lower per-level overhead wins, and the half state from there on.
+Those readers are _sums_in_one_pass (newman_sum_dp, parity_counts,
+verify_recurrence) and _dyadic_stream (dyadic_sums, coefficients_from_sums,
+the remainder check).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import islice
-from operator import sub
+from operator import add, neg, sub
 from typing import NamedTuple
 
 #: Default upper bound on x for the O(x/m) enumeration path.
 ENUMERATION_CAP = 1 << 26
+#: Odd moduli from here on are summed from the half-state pass (see
+#: _half_levels); below it the full vector's lower per-level overhead wins.
+#: On a 2-CPU Xeon with Python 3.11 the two broke even near m' = 51-61, and
+#: the half pass took 0.85-0.93 of the full pass's time at m' = 65-121 and
+#: 0.58-0.65 at m' = 1001-4001.
+_HALF_PASS_MIN = 65
 
 
 class EnumerationCapError(ValueError):
@@ -80,6 +97,10 @@ def _levels(m: int, unit: int = 1) -> Iterator[list[int]]:
     current level is live: m integers of at most i bits.  Each level is a
     fresh list, so a caller may keep one while the pass moves on.  The DP
     is linear, so started from `unit` in place of 1 it yields unit * D_i.
+
+    This full-vector pass is the one the max-plus profiles read, since they
+    need every residue of every level, and the one the sums read below
+    _HALF_PASS_MIN; larger odd moduli are read from _half_levels.
     """
     d = [unit] + [0] * (m - 1)
     pw = 1 % m  # 2^i mod m
@@ -87,6 +108,57 @@ def _levels(m: int, unit: int = 1) -> Iterator[list[int]]:
         yield d
         d = list(map(sub, d, d[m - pw:] + d[:m - pw]))
         pw = 2 * pw % m
+
+
+def _half_levels(m: int) -> Iterator[Callable[[int], int]]:
+    """The signed digit DP of _levels for odd m from (m + 1) / 2 integers
+    per level: per level i, the function c -> D_i[c].
+
+    Flipping the i low bits, t -> 2^i - 1 - t, turns s(t) into i - s(t), so
+    D_i[c] = (-1)^i D_i[2^i - 1 - c].  With kappa_i = (2^i - 1) / 2 and
+    g_i = 2^i / 2 (mod m), E_i[u] = D_i[u + kappa_i] is therefore even or
+    odd, E_i[-u] = (-1)^i E_i[u], and the step of _levels becomes
+
+        E_{i+1}[u] = E_i[u + g_i] - E_i[u - g_i].
+
+    Only u = 0 .. (m - 1) / 2 are kept, as e with E_i = sign * e, and an
+    index outside that range folds back by the symmetry.  A g_i above
+    (m - 1) / 2 is replaced by m - g_i, which negates the new level; sign
+    absorbs that.  On even i each new cell is one subtraction.  On odd i
+    the cells where u + g folds and u - g does not are a negated sum, at
+    most half of them, and the cells where only u - g folds are sums.
+    """
+    h = m >> 1
+    e = [1] + [0] * h
+    kappa, gi, sign, odd = 0, h + 1, 1, False  # kappa_0 = 0, g_0 = 1/2 = h + 1
+    while True:
+        def read(c, e=e, kappa=kappa, sign=sign, tail=-sign if odd else sign):
+            u = (c - kappa) % m
+            return sign * e[u] if u <= h else tail * e[m - u]
+        yield read
+        g = gi
+        if g > h:
+            g, sign = m - g, -sign
+        p = h + 1 - g  # the first u whose u + g folds
+        if not odd:
+            e = list(map(sub, e[g:] + e[h:h - g:-1], e[g:0:-1] + e[:p]))
+        elif g <= p:
+            e = [*map(add, e[g:2 * g], e[g:0:-1]), *map(sub, e[2 * g:], e[:p - g]),
+                 *map(neg, map(add, e[h:h - g:-1], e[p - g:p]))]
+        else:
+            e = [*map(add, e[g:], e[g:g - p:-1]), *map(sub, e[g - p:0:-1], e[h:m - 2 * g:-1]),
+                 *map(neg, map(add, e[m - 2 * g:h - g:-1], e[:p]))]
+        kappa = (kappa + gi) % m
+        gi = 2 * gi % m
+        odd = not odd
+
+
+def _level_reads(m: int) -> Iterator[Callable[[int], int]]:
+    """c -> D_i[c] for i = 0, 1, ... over odd m, from _half_levels from
+    _HALF_PASS_MIN on and from _levels below it."""
+    if m < _HALF_PASS_MIN:
+        return (d.__getitem__ for d in _levels(m))
+    return _half_levels(m)
 
 
 def _odd_part(m: int) -> int:
@@ -133,9 +205,9 @@ def _sums_in_one_pass(m: int, a: int, xs: list[int]) -> list[int]:
         for i, p, s in _set_bits(m, x):
             wanted[i].append((j, (a - p) % m, sign * s))
     out = [0] * len(xs)
-    for terms, d in zip(wanted, _levels(m)):
+    for terms, d in zip(wanted, _level_reads(m)):
         for j, c, s in terms:
-            out[j] += s * d[c]
+            out[j] += s * d(c)
     return out
 
 
@@ -152,8 +224,8 @@ def _dyadic_stream(m: int, a: int) -> Iterator[int]:
     sign, m, a, k, pad = _odd_query(m, a)
     for n in range(k):
         yield sign if a == 0 and ((1 << n) + pad) >> k else 0
-    for d in _levels(m):
-        yield sign * d[a]
+    for d in _level_reads(m):
+        yield sign * d(a)
 
 
 def dyadic_sums(m: int, a: int, n_max: int) -> list[int]:

@@ -164,6 +164,23 @@ def test_large_m_profile_walks_the_class(monkeypatch):
         dyadic_profile(19, 3, 26)
 
 
+def test_max_plus_cells_widen_with_the_depth(monkeypatch):
+    # a max-plus cell costs 300 ns up to nu = 32 and 600 ns from nu = 40 on,
+    # so at nu = 32 the DP keeps every m up to 8192, where the walk took over
+    # from m = 5793 when every cell cost 600 ns
+    for nu, cell_ns in ((1, 300), (32, 300), (36, 450), (40, 600), (256, 600)):
+        assert empirical._maxplus_ns(1000, nu) == cell_ns * 1000 * nu, nu
+
+    def fails(*args):
+        raise AssertionError("this route must not run")
+
+    for m, skipped in ((5795, "_walk_profile"), (8192, "_walk_profile"), (8193, "_maxplus_profile")):
+        with monkeypatch.context() as patch:
+            patch.setattr(empirical, skipped, fails)
+            profile = dyadic_profile(m, 5, 32)
+        assert profile.boundary_sums[-1] == newman_sum_dp(m, 5, 1 << 32), m
+
+
 def test_large_m_remainder_check_walks_the_class(monkeypatch):
     # m' * 28 digit-DP cells, m' the odd part of m, cost more than the
     # 2^28 / m class members for the first three; 3 * 2^19 folds to m' = 3

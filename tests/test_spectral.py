@@ -94,7 +94,7 @@ def test_explicit_never_reads_the_dp(monkeypatch):
     def refuse(*args):
         raise AssertionError("the explicit route read the digit DP")
 
-    for name in ("_levels", "_sums_in_one_pass", "_dyadic_stream"):
+    for name in ("_levels", "_half_levels", "_sums_in_one_pass", "_dyadic_stream"):
         monkeypatch.setattr(sums, name, refuse)
     assert [newman_sum_explicit(m, a, x) for m, a, x in cases] == expected
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from gelfond import sums
 from gelfond import (
     ENUMERATION_CAP,
     EnumerationCapError,
@@ -15,7 +16,7 @@ from gelfond import (
     parity_counts,
     newman_sum_explicit,
 )
-from gelfond.sums import _levels, _set_bits
+from gelfond.sums import _half_levels, _levels, _set_bits
 
 
 def unfolded_sums(m, a, xs):
@@ -174,6 +175,33 @@ def test_folded_dp_equals_unfolded_pass(m):
     assert dyadic_sums(m, a, 1000) == unfolded_sums(m, a, [1 << n for n in range(1001)])
     # n_max below v2(m): every level comes from the halving steps alone
     assert dyadic_sums(m, a, 2) == unfolded_sums(m, a, [1, 2, 4])
+
+
+def test_half_state_levels_equal_the_full_dp():
+    for m in range(1, 100, 2):
+        for i, read, d in zip(range(15), _half_levels(m), _levels(m)):
+            assert [read(c) for c in range(m)] == d, (m, i)
+
+
+def test_small_moduli_through_the_half_pass(monkeypatch):
+    # with the crossover at 1 every odd part takes the half pass, m' = 1 too;
+    # unfolded_sums reads the full pass of the unfolded m, never the half one
+    monkeypatch.setattr(sums, "_HALF_PASS_MIN", 1)
+    rng = random.Random(23)
+    for m in range(1, 100):
+        a = rng.randrange(m)
+        xs = [0, a, a + 1] + [rng.randrange(1 << 13) for _ in range(4)]
+        expected = [newman_sum_enumerate(m, a, x) for x in xs]
+        assert [newman_sum_dp(m, a, x) for x in xs] == unfolded_sums(m, a, xs) == expected, m
+        for x, s in zip(xs, expected):
+            t_even, t_odd = parity_counts(m, a, x)
+            assert (t_even - t_odd, t_even + t_odd) == (s, len(range(a, x, m))), (m, x)
+        powers = [1 << n for n in range(14)]
+        assert dyadic_sums(m, a, 13) == unfolded_sums(m, a, powers) == [
+            newman_sum_enumerate(m, a, x) for x in powers], m
+        top = rng.getrandbits(300) | 1 << 299
+        assert [newman_sum_dp(m, a, top), dyadic_sums(m, a, 300)[-1]] == unfolded_sums(
+            m, a, [top, 1 << 300]), m
 
 
 def test_folded_dp_at_a_large_power_of_two_factor():
