@@ -1,8 +1,8 @@
 """Cyclotomic cosets of 2 modulo odd m, and primitive/semiprimitive roots.
 
 A coset is the orbit of a residue t under doubling mod m.  The cosets
-partition {1, ..., m-1}; `h`, the lcm of their sizes, equals the
-multiplicative order of 2 mod m.
+partition {1, ..., m-1}; `h`, the size of the orbit of 1, which every
+other size divides, is the multiplicative order of 2 mod m.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def multiplicative_order(base: int, m: int) -> int:
 def _orbits(m: int) -> Iterator[tuple[int, ...]]:
     """Each orbit of t -> 2t (mod m) on {1, ..., m-1}, in order of its
     smallest element, marked off in one bytearray(m): the only m-sized state
-    of the walk."""
+    of the walk.  The orbit of 1 comes first, and its size is ord_m(2)."""
     seen = bytearray(m)
     for t in range(1, m):
         if seen[t]:
@@ -83,7 +83,7 @@ def cyclotomic_cosets(m: int) -> CosetDecomposition:
     _check_odd_modulus(m)
     cosets = tuple(_orbits(m))
     sizes = tuple(len(c) for c in cosets)
-    h = math.lcm(*sizes)  # ord_m(2): 2^k fixes every t iff each orbit size divides k
+    h = sizes[0]  # ord_m(2), the size of the orbit of 1
     return CosetDecomposition(
         m=m,
         cosets=cosets,

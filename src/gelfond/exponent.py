@@ -161,8 +161,9 @@ def alpha(m: int, full_range: bool = False) -> ExponentReport:
     The even fold of sums._odd_query keeps the growth exponent.  For m' = 1
     the partial sums stay in {-1, 0, 1} and the report is `bounded`.  Else
     one representative per cyclotomic coset of m' is evaluated: one walk of
-    the doubling orbits (cosets._orbits) gives each orbit's exponent and its
-    effective root Z_j in turn, and v and eta are read from the r roots.
+    the doubling orbits (cosets._orbits) gives h, the size of the first
+    orbit, then each orbit's exponent and its effective root Z_j in turn,
+    and v and eta are read from the r roots.
     Only the walk's bytearray(m') is m'-sized; no coset is kept but the
     orbit of 1.  With full_range=True every l in [1, m'-1] is swept as well
     (m' logarithms and O(m' log h) additions, independent of the cosets) and
@@ -182,13 +183,12 @@ def alpha(m: int, full_range: bool = False) -> ExponentReport:
             log2_v=None,
             bounded=True,
         )
-    h = multiplicative_order(2, m)
     per_rep, effective = [], []
     for orbit in _orbits(m):
+        if not per_rep:  # the orbit of 1 comes first, and its size is h = ord_m(2)
+            ones, h = orbit, len(orbit)
         per_rep.append((orbit[0], _orbit_exponent(orbit, m, h)))
         effective.append(_orbit_root(orbit, m) ** (h // len(orbit)))
-        if orbit[0] == 1:
-            ones = orbit
     best = max(per_rep, key=lambda item: item[1])
     if full_range:
         full_max = _full_range_max(m)

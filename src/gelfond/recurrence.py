@@ -70,7 +70,8 @@ def coefficients_spectral(dec: CosetDecomposition) -> RecurrenceSpec:
 
     Z/M is the product of the fields F_p, so the CRT lift w of one element
     of order m per F_p stands for e^{2 pi i/m} in all of them at once, and
-    Z_j == prod_{k<h} (1 - w^(l_j 2^k)) (mod M).  |c_i| <= C(r, i) 2^(h i)
+    Z_j == (prod_{t in C_j} (1 - w^t))^(h/h_j) (mod M): each coset is read
+    once, m - 1 products and r powers in all.  |c_i| <= C(r, i) 2^(h i)
     < 2^(r (h+1)), so primes whose product exceeds 2^(r (h+1) + 1) make
     the symmetric residue mod M the integer c_i.  split_primes remembers
     the primes of each m, so only the first call for an m searches.
@@ -79,11 +80,11 @@ def coefficients_spectral(dec: CosetDecomposition) -> RecurrenceSpec:
     modulus, w = crt_root(split_primes(m, r * (h + 1) + 1))
     powers = power_table(w, m, modulus)
     poly = [1]
-    for l in dec.representatives:
-        z, u = 1, l
-        for _ in range(h):
-            z = z * (1 - powers[u]) % modulus
-            u = 2 * u % m
+    for orbit in dec.cosets:
+        z = 1
+        for t in orbit:
+            z = z * (1 - powers[t]) % modulus
+        z = pow(z, h // len(orbit), modulus)
         poly = [(c - z * d) % modulus for c, d in zip([*poly, 0], [0, *poly])]
     coefficients = tuple(c - modulus if 2 * c > modulus else c for c in poly[1:])
     return RecurrenceSpec(m=m, r=r, h=h, coefficients=coefficients)
@@ -178,31 +179,20 @@ def verify_recurrence(
     values = _sums_in_one_pass(m, a, xs)
     seq, scaled = values[: top + 1], values[top + 1 :]
     weights = (1, *spec.coefficients)
-
-    def defect(terms):
-        return sum(c * s for c, s in zip(weights, terms))
-
-    checks = 0
-    for n in range(depth + 1):
-        value = defect([seq[n + k] for k in ks])
-        checks += 1
+    identities = [(f"offset identity fails at n={n}", [seq[n + k] for k in ks])
+                  for n in range(depth + 1)]
+    identities += [(f"multiplier identity fails at u={u}", scaled[j * (r + 1) : (j + 1) * (r + 1)])
+                   for j, u in enumerate(multipliers)]
+    for identity, terms in identities:
+        value = sum(c * s for c, s in zip(weights, terms))
         if value:
-            raise RecurrenceDefectError(
-                f"m={m}, a={a}: offset identity fails at n={n} with defect {value}"
-            )
-    for j, u in enumerate(multipliers):
-        value = defect(scaled[j * (r + 1) : (j + 1) * (r + 1)])
-        checks += 1
-        if value:
-            raise RecurrenceDefectError(
-                f"m={m}, a={a}: multiplier identity fails at u={u} with defect {value}"
-            )
+            raise RecurrenceDefectError(f"m={m}, a={a}: {identity} with defect {value}")
     return VerificationReport(
         m=m,
         a=a,
         depth=depth,
         multipliers=tuple(multipliers),
-        checks=checks,
+        checks=len(identities),
         max_defect=0,
     )
 

@@ -109,10 +109,11 @@ def test_alpha_refuses_moduli_below_one(capsys):
         assert err == f"error: modulus must be >= 1, got m={m}\n"
 
 
-@pytest.mark.xfail(strict=True, reason="alpha(3125) raises OverflowError in z ** (h // size), "
-                                       "so the command exits 3")
-def test_alpha_at_5_to_the_5_exits_0(capsys):
-    code, out, err = run_cli(capsys, "alpha", "3125")
+@pytest.mark.xfail(strict=True, reason="alpha raises OverflowError in z ** (h // size) where "
+                                       "h alpha(m) > 1024, so the command exits 3")
+@pytest.mark.parametrize("m", ["2187", "3125"])
+def test_alpha_where_h_alpha_exceeds_1024_exits_0(capsys, m):
+    code, out, err = run_cli(capsys, "alpha", m)
     assert code == 0, err
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -183,10 +184,75 @@ def test_alpha_reports_eta():
     assert alpha(8).eta is None  # bounded: no roots
 
 
+def _phase_numerators(m):
+    """(n_j, N_j) per coset C_j of m, in coset order, with arg z_j =
+    pi n_j/(2m) and arg Z_j = pi N_j/(2m) exactly.
+
+    1 - e^(2 pi i t/m) = 2 sin(pi t/m) e^(i(pi t/m - pi/2)), and the sine is
+    positive for 0 < t < m, so arg z_j = pi (2 T_j - h_j m)/(2m), with T_j
+    the sum of C_j; raising to h/h_j multiplies the angle, taken mod 4m."""
+    dec = cyclotomic_cosets(m)
+    out = []
+    for coset in dec.cosets:
+        n = 2 * sum(coset) - len(coset) * m
+        out.append((n, dec.h // len(coset) * n % (4 * m)))
+    return out
+
+
+def _angle_gap(phase, numerator, m):
+    """Distance on the circle from phase to pi numerator/(2m)."""
+    gap = (phase - math.pi * numerator / (2 * m)) % (2 * math.pi)
+    return min(gap, 2 * math.pi - gap)
+
+
+def test_root_phases_are_exact_integer_multiples_of_pi_over_2m():
+    worst = 0.0
+    for m in range(3, 400, 2):
+        dec = cyclotomic_cosets(m)
+        for coset, (n, big_n) in zip(dec.cosets, _phase_numerators(m)):
+            z = exponent._orbit_root(coset, m)
+            worst = max(worst, _angle_gap(cmath.phase(z), n, m),
+                        _angle_gap(cmath.phase(z ** (dec.h // len(coset))), big_n, m))
+    assert worst < 1e-9
+
+
+def _eta_from_exact_phases(m):
+    """eta with the phases read exactly: Z_j coincide only within a group
+    of equal N_j, and there exactly when their magnitudes 2^(h e_j) do, with
+    e_j the coset's exponent.  Within a group the exponents are sorted and
+    chained while neighbouring magnitudes agree to CLUSTER_RTOL."""
+    report, h = alpha(m), cyclotomic_cosets(m).h
+    groups = {}
+    for (_, e), (_, big_n) in zip(report.per_rep, _phase_numerators(m)):
+        groups.setdefault(big_n, []).append(e)
+    eta = 1
+    for exponents in groups.values():
+        exponents.sort()
+        run = 1
+        for lo, hi in zip(exponents, exponents[1:]):
+            close = -math.expm1(-h * math.log(2) * (hi - lo)) <= exponent.CLUSTER_RTOL
+            run = run + 1 if close else 1
+            eta = max(eta, run)
+    return eta
+
+
+def test_exact_phase_groups_give_eta():
+    for m in [*range(3, 400, 2), 4095]:
+        assert _eta_from_exact_phases(m) == alpha(m).eta, m
+
+
+#: Moduli where h alpha(m) > 1024, so that the largest |Z_j| = 2^(h alpha)
+#: leaves the float range.  A multiple of 3 is among them once h > 1292,
+#: since its coset {m/3, 2m/3} has |Z| = 3^(h/2): 2187 = 3^7 (the least
+#: such modulus) and 3903 = 3 * 1301 (the next).  Then 5^5, 3 * 5^5 and
+#: 80459 = 61 * 1319.
+OVERFLOWING_MODULI = [2187, 3125, 3903, 9375, 80459]
+
+
 @pytest.mark.xfail(strict=True, raises=OverflowError,
-                   reason="z ** (h // size) overflows a complex at m = 5^5 k")
-@pytest.mark.parametrize("m", [3125, 9375])
-def test_alpha_at_multiples_of_5_to_the_5(m):
+                   reason="z ** (h // size) overflows a complex where h alpha(m) > 1024")
+@pytest.mark.parametrize("m", OVERFLOWING_MODULI)
+def test_alpha_where_h_alpha_exceeds_1024(m):
     report = alpha(m)
     assert report.alpha == pytest.approx(exponent._full_range_max(m), abs=1e-12)
     assert report.log2_v == pytest.approx(report.alpha, abs=1e-9)

@@ -186,9 +186,10 @@ def _mpmath_coefficients(dec):
     return coeffs
 
 
-@pytest.mark.parametrize("m", [3, 5, 7, 9, 15, 17, 19, 21, 31, 63, 77, 81, 255, 511])
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 15, 17, 19, 21, 31, 63, 77, 81, 243, 255, 511])
 def test_exact_fallback_equals_mpmath_expansion(m, monkeypatch):
-    # the split-prime expansion is the only route, for small m as for large
+    # the split-prime expansion is the only route, for small m as for large;
+    # at 243 = 3^5 the orbit powers h/h_j run 1, 3, 9, 27 and 81
     used = []
     split_primes = recurrence.split_primes
     monkeypatch.setattr(recurrence, "split_primes",
