@@ -48,7 +48,6 @@ _PUBLIC = {
         "LAMBDA",
         "ExponentReport",
         "alpha",
-        "alpha_closed_prime",
         "alpha_for_rep",
     ),
     "recurrence": (
@@ -59,7 +58,6 @@ _PUBLIC = {
         "VerificationReport",
         "coefficients_from_sums",
         "coefficients_spectral",
-        "simple_prime_c1",
         "verify_recurrence",
     ),
     "spectral": ("newman_sum_explicit",),
@@ -67,7 +65,6 @@ _PUBLIC = {
         "ENUMERATION_CAP",
         "EnumerationCapError",
         "ParityCount",
-        "digit_sum",
         "dyadic_sums",
         "newman_sum_dp",
         "newman_sum_enumerate",

@@ -27,15 +27,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .cosets import (
-    PRIMITIVE,
-    SEMIPRIMITIVE,
-    _check_odd_modulus,
-    _closed_prime,
-    _orbits,
-    classify_prime,
-    multiplicative_order,
-)
+from .cosets import _check_odd_modulus, _closed_prime, _orbits, multiplicative_order
 from .sums import _odd_part
 
 #: Gelfond's universal remainder exponent ln 3 / ln 4.
@@ -118,16 +110,15 @@ def alpha_for_rep(m: int, l: int) -> float:
     return _orbit_exponent(tuple(orbit), m, multiplicative_order(2, m))
 
 
-def _full_range_max(m: int) -> float:
-    """max over l in [1, m-1] of alpha_for_rep(m, l), from its own
-    h = ord_m(2) and one table of ln|sin(pi t/m)|.
+def _full_range_max(m: int, h: int) -> float:
+    """max over l in [1, m-1] of alpha_for_rep(m, l), given h = ord_m(2),
+    from one table of ln|sin(pi t/m)|.
 
     The orbit sums S_k(l) = sum_{i<k} ln|sin(pi l 2^i/m)| are built by binary
     splitting, S_{2k}(l) = S_k(l) + S_k(l 2^k mod m) and
     S_{k+1}(l) = S_k(l) + S_1(l 2^k mod m), one pass over l per bit of h: m
     logarithms and O(m log h) additions in place of m h of each.
     """
-    h = multiplicative_order(2, m)
     ones = [_log_sine(l, m) if l else 0.0 for l in range(m)]  # S_1 by l; slot 0 stays 0
     sums, k = ones, 1
     for bit in bin(h)[3:]:
@@ -141,16 +132,18 @@ def _full_range_max(m: int) -> float:
     return 1.0 + max(sums[1:]) / (h * math.log(2))
 
 
-def _closed_form(m: int, h: int, r: int, ones: tuple[int, ...]) -> float | None:
+def _closed_form(m: int, h: int, r: int) -> float | None:
     """LAMBDA when 3 | m; ln m / ((m-1) ln 2) when m is a prime with 2
     primitive (one coset, h = m - 1) or semiprimitive (r = 2 cosets of size
-    (m-1)/2, -1 not in `ones`, the orbit of 1).  Either shape forces m
-    prime: doubling keeps gcd(t, m), so for a composite m the units and the
-    non-units of each gcd would need more cosets, or for m = p^2 two of
-    unequal sizes."""
+    (m-1)/2, and -1 not a power of 2).  -1 is a power of 2 exactly when
+    2^(h//2) == m - 1: for even h that power is the one element of order 2
+    in the orbit of 1, and for odd h it is not -1, since 2^(h-1) != 1.
+    Either shape forces m prime: doubling keeps gcd(t, m), so for a
+    composite m the units and the non-units of each gcd would need more
+    cosets, or for m = p^2 two of unequal sizes."""
     if m % 3 == 0:
         return LAMBDA
-    if h == m - 1 or (r == 2 and 2 * h == m - 1 and m - 1 not in ones):
+    if h == m - 1 or (r == 2 and 2 * h == m - 1 and pow(2, h // 2, m) != m - 1):
         return _closed_prime(m)
     return None
 
@@ -164,10 +157,10 @@ def alpha(m: int, full_range: bool = False) -> ExponentReport:
     the doubling orbits (cosets._orbits) gives h, the size of the first
     orbit, then each orbit's exponent and its effective root Z_j in turn,
     and v and eta are read from the r roots.
-    Only the walk's bytearray(m') is m'-sized; no coset is kept but the
-    orbit of 1.  With full_range=True every l in [1, m'-1] is swept as well
-    (m' logarithms and O(m' log h) additions, independent of the cosets) and
-    the two maxima must agree to 1e-9.
+    Only the walk's bytearray(m') is m'-sized, and no coset is kept.  With
+    full_range=True every l in [1, m'-1] is swept as well, with the walk's h
+    (m' logarithms and O(m' log h) additions, independent of the cosets),
+    and the two maxima must agree to 1e-9.
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got m={m}")
@@ -186,12 +179,12 @@ def alpha(m: int, full_range: bool = False) -> ExponentReport:
     per_rep, effective = [], []
     for orbit in _orbits(m):
         if not per_rep:  # the orbit of 1 comes first, and its size is h = ord_m(2)
-            ones, h = orbit, len(orbit)
+            h = len(orbit)
         per_rep.append((orbit[0], _orbit_exponent(orbit, m, h)))
         effective.append(_orbit_root(orbit, m) ** (h // len(orbit)))
     best = max(per_rep, key=lambda item: item[1])
     if full_range:
-        full_max = _full_range_max(m)
+        full_max = _full_range_max(m, h)
         if abs(full_max - best[1]) > 1e-9:
             raise ArithmeticError(
                 f"representative maximum {best[1]!r} disagrees with full-range "
@@ -202,31 +195,8 @@ def alpha(m: int, full_range: bool = False) -> ExponentReport:
         per_rep=tuple(per_rep),
         alpha=best[1],
         argmax_rep=best[0],
-        closed_form=_closed_form(m, h, len(per_rep), ones),
+        closed_form=_closed_form(m, h, len(per_rep)),
         lam=LAMBDA,
         log2_v=math.log2(max(abs(z) ** (1.0 / h) for z in effective)),
         eta=_cluster_max(effective, CLUSTER_RTOL),
     )
-
-
-def alpha_closed_prime(p: int) -> float:
-    """ln p / ((p-1) ln 2), valid when 2 is a primitive or semiprimitive root.
-
-    Also validates the sine-product identity
-    prod_{l=1}^{p-1} sin(l pi / p) = p / 2^(p-1) (in log space, so large p
-    cannot underflow) before returning.
-    """
-    cls = classify_prime(p)
-    if cls.classification not in (PRIMITIVE, SEMIPRIMITIVE):
-        raise ValueError(
-            f"2 is neither a primitive nor a semiprimitive root of {p} "
-            f"(class {cls.classification})"
-        )
-    log_prod = sum(_log_sine(t, p) for t in range(1, p))
-    log_closed = math.log(p) - (p - 1) * math.log(2)
-    rel_err = abs(math.expm1(log_prod - log_closed))
-    if rel_err > 1e-10:
-        raise ArithmeticError(
-            f"sine-product identity violated at p={p}: relative error {rel_err:.3e}"
-        )
-    return _closed_prime(p)

@@ -25,9 +25,9 @@ from itertools import islice
 from math import gcd
 from typing import NamedTuple
 
-from .cosets import PRIMITIVE, CosetDecomposition, classify_prime, cyclotomic_cosets
+from .cosets import CosetDecomposition, cyclotomic_cosets
 from .modular import crt_root, power_table, split_primes
-from .sums import _check_query, _dyadic_stream, _sums_in_one_pass, newman_sum_dp
+from .sums import _check_query, _dyadic_stream, _sums_in_one_pass
 
 
 class SingularSystemError(ArithmeticError):
@@ -195,16 +195,3 @@ def verify_recurrence(
         checks=len(identities),
         max_defect=0,
     )
-
-
-def simple_prime_c1(p: int, a: int) -> int:
-    """c_1 for a prime with 2 primitive, from a single exact sum:
-    (-1)^(s(a)+1) * S(p, a, 2^p) for a in {0, 1}, with bound a * 2^p for
-    a >= 2 (where the single term below 2a pins the initial condition)."""
-    cls = classify_prime(p)
-    if cls.classification != PRIMITIVE:
-        raise ValueError(f"2 is not a primitive root of {p} (class {cls.classification})")
-    _check_query(p, a, 0)
-    u = 1 if a <= 1 else a
-    sign = 1 if a.bit_count() & 1 else -1  # (-1)^(s(a)+1)
-    return sign * newman_sum_dp(p, a, u << p)

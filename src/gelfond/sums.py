@@ -67,13 +67,6 @@ def _check_query(m: int, a: int, x: int) -> None:
         raise ValueError(f"upper bound must be >= 0, got x={x}")
 
 
-def digit_sum(n: int) -> int:
-    """Number of 1's in the binary expansion of n (n >= 0)."""
-    if n < 0:
-        raise ValueError(f"digit_sum needs n >= 0, got {n}")
-    return n.bit_count()
-
-
 def newman_sum_enumerate(m: int, a: int, x: int, cap: int = ENUMERATION_CAP) -> int:
     """S(m, a, x) by direct enumeration. Refuses x > cap; use the DP instead."""
     _check_query(m, a, x)

@@ -17,7 +17,6 @@ from gelfond import (
     SEMIPRIMITIVE,
     SingularSystemError,
     alpha,
-    alpha_closed_prime,
     coefficients_from_sums,
     coefficients_spectral,
     cyclotomic_cosets,
@@ -133,7 +132,7 @@ def test_criterion_05_closed_forms():
         for p in (3, 5, 11, 13, 19, 29, 37, 53, 7, 23, 47, 71, 79, 103):
             closed = math.log(p) / ((p - 1) * math.log(2))
             assert abs(alpha(p).alpha - closed) <= 1e-9, p
-            assert abs(alpha_closed_prime(p) - closed) <= 1e-15, p
+            assert abs(alpha(p).closed_form - closed) <= 1e-15, p
             # sine-product identity by direct multiplication
             prod = math.prod(math.sin(l * math.pi / p) for l in range(1, p))
             target = p / 2 ** (p - 1)

@@ -78,9 +78,9 @@ def test_alpha_even_full_range_sweeps_the_odd_part(capsys, monkeypatch):
     calls = []
     real = expo._full_range_max
 
-    def spy(m):
+    def spy(m, h):
         calls.append(m)
-        return real(m)
+        return real(m, h)
 
     monkeypatch.setattr(expo, "_full_range_max", spy)
     swept = run_json(capsys, "alpha", "34", "--full-range")
@@ -111,9 +111,15 @@ def test_alpha_refuses_moduli_below_one(capsys):
 
 @pytest.mark.xfail(strict=True, reason="alpha raises OverflowError in z ** (h // size) where "
                                        "h alpha(m) > 1024, so the command exits 3")
-@pytest.mark.parametrize("m", ["2187", "3125"])
-def test_alpha_where_h_alpha_exceeds_1024_exits_0(capsys, m):
-    code, out, err = run_cli(capsys, "alpha", m)
+@pytest.mark.parametrize("argv", [
+    pytest.param(["alpha", "2187"], id="2187"),
+    pytest.param(["alpha", "3125"], id="3125"),
+    # empirical calls alpha too, though its profile, fit and remainder scan
+    # need no root spectrum
+    pytest.param(["empirical", "2187", "1", "--max-exp", "20"], id="empirical-2187"),
+])
+def test_alpha_where_h_alpha_exceeds_1024_exits_0(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
 
 

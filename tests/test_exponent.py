@@ -10,7 +10,6 @@ from gelfond import (
     PRIMITIVE,
     SEMIPRIMITIVE,
     alpha,
-    alpha_closed_prime,
     alpha_for_rep,
     classify_prime,
     cyclotomic_cosets,
@@ -79,7 +78,8 @@ def test_full_range_mode_agrees():
 def test_full_range_sweep_equals_naive_max():
     for m in range(3, 300, 2):
         naive = max(alpha_for_rep(m, l) for l in range(1, m))
-        assert exponent._full_range_max(m) == pytest.approx(naive, abs=1e-12), m
+        h = cyclotomic_cosets(m).h
+        assert exponent._full_range_max(m, h) == pytest.approx(naive, abs=1e-12), m
 
 
 def test_full_range_sweep_catches_a_missing_coset(monkeypatch):
@@ -148,7 +148,7 @@ def _reference_alpha(m):
         per_rep=per_rep,
         alpha=best[1],
         argmax_rep=best[0],
-        closed_form=exponent._closed_form(m, dec.h, dec.r, dec.cosets[0]),
+        closed_form=exponent._closed_form(m, dec.h, dec.r),
         lam=LAMBDA,
         log2_v=math.log2(max(abs(z) ** (1.0 / dec.h) for z in effective)),
         eta=exponent._cluster_max(effective, exponent.CLUSTER_RTOL),
@@ -254,7 +254,8 @@ OVERFLOWING_MODULI = [2187, 3125, 3903, 9375, 80459]
 @pytest.mark.parametrize("m", OVERFLOWING_MODULI)
 def test_alpha_where_h_alpha_exceeds_1024(m):
     report = alpha(m)
-    assert report.alpha == pytest.approx(exponent._full_range_max(m), abs=1e-12)
+    h = cyclotomic_cosets(m).h
+    assert report.alpha == pytest.approx(exponent._full_range_max(m, h), abs=1e-12)
     assert report.log2_v == pytest.approx(report.alpha, abs=1e-9)
 
 
@@ -293,7 +294,6 @@ def test_lambda_iff_multiple_of_three():
 @pytest.mark.parametrize("p", PRIMITIVE_SAMPLE + SEMIPRIMITIVE_SAMPLE)
 def test_closed_form_agreement(p):
     closed = math.log(p) / ((p - 1) * math.log(2))
-    assert alpha_closed_prime(p) == pytest.approx(closed, abs=1e-15)
     assert alpha(p).alpha == pytest.approx(closed, abs=1e-9)
     assert alpha(p).closed_form == pytest.approx(closed, abs=1e-15)
 
@@ -312,7 +312,7 @@ def test_closed_form_reads_the_cosets_like_the_prime_classification():
     for m in range(3, 3000, 2):
         expected = by_classification(m)
         dec = cyclotomic_cosets(m)
-        assert exponent._closed_form(m, dec.h, dec.r, dec.cosets[0]) == expected, m
+        assert exponent._closed_form(m, dec.h, dec.r) == expected, m
         closed += expected is not None and m % 3 != 0
     assert closed == 250  # 166 primitive and 84 semiprimitive primes 5 <= p < 3000
     # through alpha, on the odd part: 2 is primitive mod 2027, semiprimitive mod 2999
@@ -321,10 +321,7 @@ def test_closed_form_reads_the_cosets_like_the_prime_classification():
 
 
 def test_closed_form_rejects_other_primes():
-    with pytest.raises(ValueError):
-        alpha_closed_prime(17)
-    with pytest.raises(ValueError):
-        alpha_closed_prime(15)
+    assert alpha(17).closed_form is None  # 2 has order 8 mod 17: neither class
 
 
 def test_sine_product_identity_direct():

@@ -15,7 +15,6 @@ from gelfond import (
     newman_sum_dp,
     newman_sum_enumerate,
     newman_sum_explicit,
-    simple_prime_c1,
     verify_recurrence,
 )
 from gelfond import modular, recurrence
@@ -220,23 +219,16 @@ def test_second_call_reuses_the_split_primes(monkeypatch):
     assert [s for _, s in again] == [newman_sum_dp(m, a, x) for m, a, x in cases]
 
 
-def test_simple_prime_c1_examples():
-    assert simple_prime_c1(3, 2) == -3
-    assert simple_prime_c1(3, 0) == -3
-    assert simple_prime_c1(5, 1) == -5
-
-
-def test_simple_prime_c1_all_residues():
+def test_primitive_prime_c1_is_minus_p():
+    # 2 primitive mod p: one coset, and Z = prod_{t<p} (1 - zeta^t) = p, so
+    # c_1 = -p.  The multiplier identity at u = max(a, 1) reads it off one
+    # sum: n = a is the one term of S(p, a, 2u), so S(p, a, 2u) = (-1)^s(a)
+    # and (-1)^(s(a)+1) S(p, a, 2^p u) = -p
     for p in (3, 5, 11, 13):
+        assert coefficients_spectral(cyclotomic_cosets(p)).coefficients == (-p,), p
         for a in range(p):
-            assert simple_prime_c1(p, a) == -p, (p, a)
-
-
-def test_simple_prime_c1_validation():
-    with pytest.raises(ValueError):
-        simple_prime_c1(17, 0)  # 2 is not primitive mod 17
-    with pytest.raises(ValueError):
-        simple_prime_c1(5, 5)
+            sign = 1 if a.bit_count() & 1 else -1
+            assert sign * newman_sum_dp(p, a, max(a, 1) << p) == -p, (p, a)
 
 
 def test_from_sums_validation():

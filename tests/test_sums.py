@@ -9,7 +9,6 @@ from gelfond import (
     EnumerationCapError,
     LAMBDA,
     ParityCount,
-    digit_sum,
     dyadic_sums,
     newman_sum_dp,
     newman_sum_enumerate,
@@ -53,27 +52,6 @@ def brute_sum(m, a, x):
         if n % m == a:
             total += -1 if bin(n).count("1") % 2 else 1
     return total
-
-
-@pytest.mark.parametrize(
-    "n,expected",
-    [(0, 0), (1, 1), (2, 1), (1 << 17, 1), (11, 3), (255, 8), (256, 1)],
-)
-def test_digit_sum(n, expected):
-    assert digit_sum(n) == expected
-
-
-def test_digit_sum_negative_rejected():
-    with pytest.raises(ValueError):
-        digit_sum(-1)
-
-
-def test_digit_sum_shift_recursion():
-    rng = random.Random(1)
-    for _ in range(200):
-        n = rng.randrange(1 << 40)
-        assert digit_sum(2 * n) == digit_sum(n)
-        assert digit_sum(2 * n + 1) == digit_sum(n) + 1
 
 
 def test_enumerate_known_values():
