@@ -29,7 +29,6 @@ _PUBLIC = {
         "classify_prime",
         "cyclotomic_cosets",
         "is_prime",
-        "multiplicative_order",
         "scan_primes",
     ),
     "empirical": (

@@ -46,17 +46,15 @@ def _check_odd_modulus(m: int) -> None:
         raise ValueError(f"modulus must be odd and >= 3, got m={m}")
 
 
-def multiplicative_order(base: int, m: int) -> int:
-    """Least k >= 1 with base**k == 1 (mod m); m odd >= 3, gcd(base, m) = 1."""
-    _check_odd_modulus(m)
-    if math.gcd(base, m) != 1:
-        raise ValueError(f"base {base} is not coprime to modulus {m}")
-    k = 1
-    v = base % m
-    while v != 1:
-        v = v * base % m
-        k += 1
-    return k
+def _orbit(t: int, m: int) -> tuple[int, ...]:
+    """t, 2t, 4t, ... (mod m) until the walk comes back to t: the doubling
+    orbit of t in {1, ..., m-1}, m odd >= 3.  len(_orbit(1, m)) = ord_m(2)."""
+    orbit = [t]
+    u = 2 * t % m
+    while u != t:
+        orbit.append(u)
+        u = 2 * u % m
+    return tuple(orbit)
 
 
 def _orbits(m: int) -> Iterator[tuple[int, ...]]:
@@ -65,15 +63,11 @@ def _orbits(m: int) -> Iterator[tuple[int, ...]]:
     of the walk.  The orbit of 1 comes first, and its size is ord_m(2)."""
     seen = bytearray(m)
     for t in range(1, m):
-        if seen[t]:
-            continue
-        orbit = []
-        u = t
-        while not seen[u]:
-            seen[u] = 1
-            orbit.append(u)
-            u = 2 * u % m
-        yield tuple(orbit)
+        if not seen[t]:
+            orbit = _orbit(t, m)
+            for u in orbit:
+                seen[u] = 1
+            yield orbit
 
 
 def cyclotomic_cosets(m: int) -> CosetDecomposition:

@@ -20,7 +20,7 @@ import math
 from collections.abc import Iterable
 from typing import NamedTuple
 
-from .cosets import multiplicative_order
+from .cosets import _orbit
 from .exponent import LAMBDA
 from .sums import _check_query, _class_count, _levels, _odd_part, dyadic_sums
 
@@ -314,7 +314,7 @@ def envelope_check(profile: DyadicProfile, alpha_value: float) -> EnvelopeReport
         raise ValueError("profile has no nonzero block sups")
     # quasi-period of the sup oscillation is the recurrence step h
     odd = _odd_part(profile.m)
-    h = multiplicative_order(2, odd) if odd >= 3 else 1
+    h = len(_orbit(1, odd)) if odd >= 3 else 1
     calib_end = max(profile.max_exp // 2, min(h + 2, profile.max_exp - 2))
     calib = [b for b in blocks if b.nu <= calib_end and b.sup > 0]
     rest = [b for b in blocks if b.nu > calib_end]

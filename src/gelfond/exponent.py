@@ -6,8 +6,8 @@ For odd m >= 3 the exponent is
 
 where h is the multiplicative order of 2 mod m and it suffices to let l run
 over coset representatives (the k-sum traverses the doubling orbit of l).
-alpha(m) always equals log2 of the dominant root magnitude v of the
-spectral module, and collapses to closed forms in special cases:
+alpha(m) always equals log2 of the dominant root magnitude v of the root
+spectrum below, and collapses to closed forms in special cases:
 ln3/ln4 whenever 3 | m, and ln p / ((p-1) ln 2) for primes where 2 is a
 primitive or semiprimitive root.  An even m has the exponent of its odd
 part; a power of two, m = 1 included, has bounded partial sums.
@@ -27,7 +27,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .cosets import _check_odd_modulus, _closed_prime, _orbits, multiplicative_order
+from .cosets import _check_odd_modulus, _closed_prime, _orbit, _orbits
 from .sums import _odd_part
 
 #: Gelfond's universal remainder exponent ln 3 / ln 4.
@@ -41,7 +41,7 @@ class ExponentReport(NamedTuple):
     m: int
     per_rep: tuple[tuple[int, float], ...]
     alpha: float
-    argmax_rep: int | None
+    argmax_rep: int | None  # the least representative whose exponent is alpha
     closed_form: float | None
     lam: float
     log2_v: float | None
@@ -50,20 +50,20 @@ class ExponentReport(NamedTuple):
 
 
 def _log_sine(t: int, m: int) -> float:
-    """ln|sin(pi t/m)|, the one formula for every orbit term."""
-    return math.log(abs(math.sin(math.pi * t / m)))
+    """ln|sin(pi t/m)| for 0 < t < m, the one formula for every orbit term,
+    read at min(t, m - t) so that t and m - t give the same float."""
+    if 2 * t > m:
+        t = m - t
+    return math.log(math.sin(math.pi * t / m))
 
 
-def _orbit_exponent(orbit: tuple[int, ...], m: int, h: int) -> float:
+def _orbit_exponent(orbit: tuple[int, ...], m: int) -> float:
     """1 + (1/(h ln 2)) sum_{k<h} ln|sin(pi l 2^k/m)| for the doubling orbit
-    l, 2l, ... of l mod m: its terms repeat h/len(orbit) times, added in
-    walk order."""
-    terms = [_log_sine(u, m) for u in orbit]
-    acc = 0.0
-    for _ in range(h // len(orbit)):
-        for term in terms:
-            acc += term
-    return 1.0 + acc / (h * math.log(2))
+    l, 2l, ... of l mod m.  The k-sum is the orbit's sum repeated h/len(orbit)
+    times, so this is 1 + sum over the orbit / (len(orbit) ln 2).  fsum
+    rounds that sum correctly, and the orbits of l and -l have the same
+    terms, so their exponents tie exactly."""
+    return 1.0 + math.fsum(_log_sine(t, m) for t in orbit) / (len(orbit) * math.log(2))
 
 
 def _orbit_root(orbit: tuple[int, ...], m: int) -> complex:
@@ -102,12 +102,7 @@ def alpha_for_rep(m: int, l: int) -> float:
     _check_odd_modulus(m)
     if not 1 <= l <= m - 1:
         raise ValueError(f"representative must satisfy 1 <= l <= m-1, got {l}")
-    orbit = [l]
-    u = 2 * l % m
-    while u != l:
-        orbit.append(u)
-        u = 2 * u % m
-    return _orbit_exponent(tuple(orbit), m, multiplicative_order(2, m))
+    return _orbit_exponent(_orbit(l, m), m)
 
 
 def _full_range_max(m: int, h: int) -> float:
@@ -156,7 +151,9 @@ def alpha(m: int, full_range: bool = False) -> ExponentReport:
     one representative per cyclotomic coset of m' is evaluated: one walk of
     the doubling orbits (cosets._orbits) gives h, the size of the first
     orbit, then each orbit's exponent and its effective root Z_j in turn,
-    and v and eta are read from the r roots.
+    and v and eta are read from the r roots.  The orbits of l and -l have
+    equal exponents, so argmax_rep is by rule the least representative
+    whose exponent is the maximum.
     Only the walk's bytearray(m') is m'-sized, and no coset is kept.  With
     full_range=True every l in [1, m'-1] is swept as well, with the walk's h
     (m' logarithms and O(m' log h) additions, independent of the cosets),
@@ -180,7 +177,7 @@ def alpha(m: int, full_range: bool = False) -> ExponentReport:
     for orbit in _orbits(m):
         if not per_rep:  # the orbit of 1 comes first, and its size is h = ord_m(2)
             h = len(orbit)
-        per_rep.append((orbit[0], _orbit_exponent(orbit, m, h)))
+        per_rep.append((orbit[0], _orbit_exponent(orbit, m)))
         effective.append(_orbit_root(orbit, m) ** (h // len(orbit)))
     best = max(per_rep, key=lambda item: item[1])
     if full_range:

@@ -1,6 +1,6 @@
 """Integer linear recurrences satisfied by S(m, a, .) at h-step dyadic scales.
 
-The effective roots Z_j = z_j^(h/h_j) of the spectral module (exponent.alpha
+The effective roots Z_j = z_j^(h/h_j) of the coset root spectrum (exponent.alpha
 reports their dominant magnitude and coincidences in floating point) are the
 roots of a monic degree-r polynomial z^r + c_1 z^(r-1) + ... + c_r whose
 integer coefficients drive both

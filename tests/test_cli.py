@@ -198,8 +198,9 @@ def test_sum_all_folds_an_even_modulus_past_the_enumeration_cap(capsys):
 
 
 def test_profile_cost_guard(capsys, monkeypatch):
-    # every depth up to 32, the depth cap of the numpy scan, stays accepted
-    # for every m: from m = 2^16 on the walk has at most 2^16 + 1 steps
+    # every depth up to 32 stays accepted for every m: below 2^16 the
+    # max-plus DP or the class walk fits the guard, and from m = 2^16 on the
+    # walk has at most 2^16 + 1 steps
     assert max(cli.emp.profile_cost_ns(m, 32) for m in range(1, 1 << 16)) <= cli.MAX_PROFILE_NS
     # a large m at a shallow depth runs the class walk
     env = run_json(capsys, "empirical", "1572864", "0", "--max-exp", "28")

@@ -9,30 +9,34 @@ from gelfond import (
     classify_prime,
     cyclotomic_cosets,
     is_prime,
-    multiplicative_order,
     scan_primes,
 )
-from gelfond.cosets import PRIMALITY_BOUND
+from gelfond.cosets import PRIMALITY_BOUND, _orbit
 
 CLASSES = (PRIMITIVE, SEMIPRIMITIVE, NEITHER)
 
 SEMIPRIMITIVE_TO_263 = [7, 23, 47, 71, 79, 103, 167, 191, 199, 239, 263]
 
 
-def test_multiplicative_order_examples():
-    assert multiplicative_order(2, 17) == 8
-    assert multiplicative_order(2, 3) == 2
-    assert multiplicative_order(2, 15) == 4
-    assert multiplicative_order(7, 9) == 3
+def _order_of_two(m):
+    """ord_m(2), the least k >= 1 with 2^k == 1 (mod m), by stepping k."""
+    k, v = 1, 2 % m
+    while v != 1:
+        k, v = k + 1, 2 * v % m
+    return k
 
 
-def test_multiplicative_order_validation():
-    with pytest.raises(ValueError):
-        multiplicative_order(2, 4)
-    with pytest.raises(ValueError):
-        multiplicative_order(2, 1)
-    with pytest.raises(ValueError):
-        multiplicative_order(3, 9)
+def test_order_of_two_is_the_size_of_the_orbit_of_one():
+    assert [cyclotomic_cosets(m).h for m in (17, 3, 15)] == [8, 2, 4]
+    for m in range(3, 400, 2):
+        assert cyclotomic_cosets(m).h == len(_orbit(1, m)) == _order_of_two(m), m
+
+
+def test_orbit_is_the_coset_rotated_to_start_at_l():
+    for m in range(3, 400, 2):
+        for coset in cyclotomic_cosets(m).cosets:
+            for i, l in enumerate(coset):
+                assert _orbit(l, m) == coset[i:] + coset[:i], (m, l)
 
 
 def test_cosets_m15():
@@ -77,7 +81,7 @@ def test_coset_invariants_sweep():
         assert sorted(elements) == list(range(1, m))  # partition of {1..m-1}
         assert sum(dec.sizes) == m - 1
         assert dec.r == len(dec.cosets)
-        assert dec.h == dec.ord2 == multiplicative_order(2, m)
+        assert dec.h == dec.ord2 == _order_of_two(m)
         assert dec.h == math.lcm(*dec.sizes)
         for coset in dec.cosets:
             assert set(2 * t % m for t in coset) == set(coset)  # doubling-closed
@@ -165,8 +169,8 @@ def test_primality_bound_documented_and_enforced():
 
 
 def _reference_class(p):
-    """The class of an odd prime from the O(p) multiplicative_order loop."""
-    d = multiplicative_order(2, p)
+    """The class of an odd prime from the O(p) loop of _order_of_two."""
+    d = _order_of_two(p)
     minus_one = d % 2 == 0 and pow(2, d // 2, p) == p - 1
     if d == p - 1:
         return PRIMITIVE
@@ -200,8 +204,8 @@ def test_classify_order_equals_orbit_walk(reference_classes):
         if p >= 5000:
             break
         c = classify_prime(p)
-        assert c.ord2 == multiplicative_order(2, p), p
+        assert c.ord2 == _order_of_two(p), p
         assert c.classification == cls, p
     # Fermat primes: p - 1 = 2^k, where only the factor 2 is stripped
-    assert classify_prime(257).ord2 == multiplicative_order(2, 257) == 16
-    assert classify_prime(65537).ord2 == multiplicative_order(2, 65537) == 32
+    assert classify_prime(257).ord2 == _order_of_two(257) == 16
+    assert classify_prime(65537).ord2 == _order_of_two(65537) == 32
