@@ -273,7 +273,7 @@ def _cmd_empirical(args):
     _check_limit(emp.profile_cost_ns(args.m, args.max_exp), MAX_PROFILE_NS,
                  "predicted profile time {value} ns exceeds the limit {limit} ns")
     profile = emp.dyadic_profile(args.m, args.a, args.max_exp)
-    report = expo.alpha(args.m)
+    exponent = expo._alpha_value(args.m)
     remainder = emp.gelfond_remainder_check(
         args.m, args.a, min(args.max_exp, emp.REMAINDER_MAX_EXP)
     )
@@ -281,7 +281,7 @@ def _cmd_empirical(args):
         "m": args.m,
         "a": args.a,
         "max_exp": args.max_exp,
-        "alpha": report.alpha,
+        "alpha": exponent,
         "remainder": _fields(remainder, "m", "a", "max_exp", "ratios"),
         "blocks": profile.blocks,
     }
@@ -291,9 +291,9 @@ def _cmd_empirical(args):
         window = emp.default_window(args.max_exp, emp._first_nonzero_block(profile))
     if args.window or window[1] - window[0] >= 3:  # a fit needs 4 blocks
         result["fit"] = emp.fit_exponent(profile, window)._asdict()
-    if not report.bounded:
+    if sums._odd_part(args.m) > 1:  # else the sums are bounded
         try:
-            env = emp.envelope_check(profile, report.alpha)
+            env = emp.envelope_check(profile, exponent)
         except ValueError as exc:
             result["envelope"] = {"skipped": str(exc)}
         else:

@@ -96,6 +96,14 @@ def _cluster_max(points: list[complex], rtol: float) -> int:
     return max(counts.values())
 
 
+def _alpha_value(m: int) -> float:
+    """alpha(m).alpha alone, for every m >= 1: the largest orbit exponent of
+    the odd part of m, 0.0 when that is 1.  No root spectrum is formed, so
+    it also runs where alpha's float roots overflow."""
+    m = _odd_part(m)
+    return max((_orbit_exponent(orbit, m) for orbit in _orbits(m)), default=0.0)
+
+
 def alpha_for_rep(m: int, l: int) -> float:
     """The per-residue exponent; the sine arguments l*2^k are reduced mod m
     as integers, so no argument is ever spoiled for large k."""

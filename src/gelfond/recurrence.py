@@ -26,7 +26,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .cosets import CosetDecomposition, cyclotomic_cosets
-from .modular import crt_root, power_table, split_primes
+from .modular import crt_passes
 from .sums import _check_query, _dyadic_stream, _sums_in_one_pass
 
 
@@ -66,27 +66,24 @@ class VerificationReport(NamedTuple):
 
 def coefficients_spectral(dec: CosetDecomposition) -> RecurrenceSpec:
     """c_i = (-1)^i e_i(Z_1, ..., Z_r), exactly, by expanding prod (z - Z_j)
-    mod the product M of split primes p == 1 (mod m).
-
-    Z/M is the product of the fields F_p, so the CRT lift w of one element
-    of order m per F_p stands for e^{2 pi i/m} in all of them at once, and
-    Z_j == (prod_{t in C_j} (1 - w^t))^(h/h_j) (mod M): each coset is read
-    once, m - 1 products and r powers in all.  |c_i| <= C(r, i) 2^(h i)
-    < 2^(r (h+1)), so primes whose product exceeds 2^(r (h+1) + 1) make
-    the symmetric residue mod M the integer c_i.  split_primes remembers
-    the primes of each m, so only the first call for an m searches.
+    in the split-prime passes of modular.crt_passes, w standing for
+    e^{2 pi i/m}.  Z_j == (prod_{t in C_j} (1 - w^t))^(h/h_j) in each pass:
+    each coset is read once, m - 1 products and r powers in all.
+    |c_i| <= C(r, i) 2^(h i) < 2^(r (h+1)), which fixes the bits.
     """
     m, r, h = dec.m, dec.r, dec.h
-    modulus, w = crt_root(split_primes(m, r * (h + 1) + 1))
-    powers = power_table(w, m, modulus)
-    poly = [1]
-    for orbit in dec.cosets:
-        z = 1
-        for t in orbit:
-            z = z * (1 - powers[t]) % modulus
-        z = pow(z, h // len(orbit), modulus)
-        poly = [(c - z * d) % modulus for c, d in zip([*poly, 0], [0, *poly])]
-    coefficients = tuple(c - modulus if 2 * c > modulus else c for c in poly[1:])
+
+    def expand(modulus: int, powers: list[int]) -> list[int]:
+        poly = [1]
+        for orbit in dec.cosets:
+            z = 1
+            for t in orbit:
+                z = z * (1 - powers[t]) % modulus
+            z = pow(z, h // len(orbit), modulus)
+            poly = [(c - z * d) % modulus for c, d in zip([*poly, 0], [0, *poly])]
+        return poly[1:]
+
+    coefficients = tuple(crt_passes(m, r * (h + 1) + 1, expand))
     return RecurrenceSpec(m=m, r=r, h=h, coefficients=coefficients)
 
 

@@ -10,40 +10,31 @@ prod_{k < v_g} (1 - e^{2 pi i beta 2^k}).  Averaging F_{t/m} against the
 character e^{-2 pi i t a / m} over t recovers S(m, a, N) exactly.
 
 newman_sum_explicit evaluates that average with integer arithmetic only,
-modulo the product M of split primes p == 1 (mod m): the CRT lift w of an
-element of order m in every F_p stands for e^{2 pi i/m}, and the primes are
-enough that the symmetric residue mod M is the integer, by the bound
-|S(m, a, N)| <= ceil(N/m).  Nothing is rounded.  One pass costs O(m log N)
-products mod M.  Up to PASS_PRIMES primes share a pass, so one pass serves
-every N below about 2^490; a larger N takes one pass per group of primes,
-joined by CRT.  An even m = 2^k m' is folded to its odd part in closed form
-by sums._odd_query, and the blocks P_g are those of sums._set_bits, the
-split the DP reads too.  Past that shared front end the route reads only the
-bits of N and w, never the digit DP, so it stays an independent check on it.
-The floating-point root spectrum of the same cosets is exponent.alpha's.
+in the split-prime passes of modular.crt_passes, with primes enough that the
+symmetric residue is the integer by the bound |S(m, a, N)| <= ceil(N/m).
+Nothing is rounded.  One pass costs O(m log N) products, and one pass
+serves every N below about 2^490.  An even m = 2^k m' is folded to its
+odd part in closed form by sums._odd_query, and the blocks P_g are those
+of sums._set_bits, the split the DP reads too.  Past that shared front end
+the route reads only the bits of N and the roots of unity, never the digit
+DP, so it stays an independent check on it.  The floating-point root
+spectrum of the same cosets is exponent.alpha's.
 """
 
 from __future__ import annotations
 
-from .modular import PRIME_BITS, crt_root, crt_symmetric, power_table, split_primes
+from .modular import PRIME_BITS, crt_passes
 from .sums import _check_query, _odd_query, _set_bits
 
 #: Time of one step (one t, one level of x, one split prime) of the modular
 #: character sum, measured for m from 1 to 10^5 on a 2-CPU Xeon with
-#: Python 3.11.  A pass mod the product of k <= PASS_PRIMES primes costs no
-#: more per step than k steps, so the constant stands for the grouped pass.
+#: Python 3.11.  A pass mod the product of k <= modular.PASS_PRIMES primes
+#: costs no more per step than k steps, so the constant stands for the pass.
 EXPLICIT_STEP_NS = 250
 
-#: Split primes whose product is the modulus of one character-sum pass.  A
-#: product mod M costs least per prime near four to eight 62-bit primes, and
-#: per prime about 1.5x that at 16 and 3x at 40 (2-CPU Xeon, Python 3.11),
-#: so a larger x takes one pass per group of this many primes.
-PASS_PRIMES = 8
-
-
-def _character_sum_mod(m: int, a: int, terms: dict, top: int, p: int, w: int) -> int:
-    """S(m, a, n) mod p as (1/m) sum_t w^(-ta) F_t(n), p a product of split
-    primes and w of order m mod each, standing for e^{2 pi i/m}.  `terms`
+def _character_sum_mod(m: int, a: int, terms: dict, top: int, p: int, powers: list) -> int:
+    """S(m, a, n) mod p as (1/m) sum_t w^(-ta) F_t(n), for one pass of
+    modular.crt_passes: p its modulus, powers[t] = w^t mod p.  `terms`
     maps each set bit v of n to (-1)^s(P) and P mod m, P the bits of n above
     v, as _set_bits(m, n) gives them; `top` is n's top bit.  Then
     F_t(n) = sum over v of (-1)^s(P) w^(t P) F_t(2^v).
@@ -51,7 +42,6 @@ def _character_sum_mod(m: int, a: int, terms: dict, top: int, p: int, w: int) ->
     All m values of t advance level by level together, so one step is one
     product mod p for each t.
     """
-    powers = power_table(w, m, p)
     factors = [1 - z for z in powers]   # 1 - w^(t 2^v) at level v, by t
     double = [2 * t % m for t in range(m)]
     prods = [1] * m                     # F_t(2^v) mod p
@@ -91,8 +81,8 @@ def explicit_cost_ns(m: int, x: int) -> int:
 
 def newman_sum_explicit(m: int, a: int, x: int) -> int:
     """S(m, a, x) via the character average of F_{t/m}(x), evaluated exactly
-    mod split primes whose product exceeds 2 |S|: one pass mod the product
-    of each group of at most PASS_PRIMES of them, joined by CRT.
+    mod split primes whose product exceeds 2 |S|, in the passes of
+    modular.crt_passes.
 
     Any m >= 1 is accepted: an even m = 2^k m' is folded by the closed form
     S(m, a, x) = (-1)^s(a0) S(m', a >> k, (x + 2^k - 1 - a0) >> k) with
@@ -104,9 +94,6 @@ def newman_sum_explicit(m: int, a: int, x: int) -> int:
     if x == 0:
         return 0
     terms = {i: (s, prefix) for i, prefix, s in _set_bits(m, x)}
-    primes = split_primes(m, _sum_bits(m, x))
-    passes = -(-len(primes) // PASS_PRIMES)
-    return sign * crt_symmetric(
-        (_character_sum_mod(m, a, terms, x.bit_length() - 1, modulus, w), modulus)
-        for modulus, w in map(crt_root, (primes[i::passes] for i in range(passes)))
-    )
+    [value] = crt_passes(m, _sum_bits(m, x), lambda modulus, powers: [
+        _character_sum_mod(m, a, terms, x.bit_length() - 1, modulus, powers)])
+    return sign * value

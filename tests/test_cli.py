@@ -114,13 +114,25 @@ def test_alpha_refuses_moduli_below_one(capsys):
 @pytest.mark.parametrize("argv", [
     pytest.param(["alpha", "2187"], id="2187"),
     pytest.param(["alpha", "3125"], id="3125"),
-    # empirical calls alpha too, though its profile, fit and remainder scan
-    # need no root spectrum
-    pytest.param(["empirical", "2187", "1", "--max-exp", "20"], id="empirical-2187"),
 ])
 def test_alpha_where_h_alpha_exceeds_1024_exits_0(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
+
+
+def test_empirical_reads_its_exponent_without_the_root_spectrum(capsys, monkeypatch):
+    # the profile, the fit, the remainder scan and the envelope need only
+    # the exponent, so empirical runs where alpha's float roots overflow
+    def refuse(*args, **kwargs):
+        raise AssertionError("empirical built the root spectrum")
+
+    monkeypatch.setattr(expo, "alpha", refuse)
+    for argv in (["2187", "1", "--max-exp", "20"], ["24", "5", "--max-exp", "12"]):
+        result = run_json(capsys, "empirical", *argv)["result"]
+        assert result["alpha"] == round(expo.LAMBDA, 8), argv  # 3 divides both
+        assert "skipped" not in result["envelope"], argv
+    bounded = run_json(capsys, "empirical", "8", "0", "--max-exp", "12")["result"]
+    assert bounded["alpha"] == 0.0 and "envelope" not in bounded
 
 
 def test_sum_all_methods(capsys):

@@ -273,6 +273,18 @@ def test_alpha_where_h_alpha_exceeds_1024(m):
     assert report.log2_v == pytest.approx(report.alpha, abs=1e-9)
 
 
+def test_alpha_value_is_alpha_without_the_root_spectrum():
+    # the exponent alone, bit for bit, for every m (even and bounded ones
+    # too), and where alpha's roots overflow it is still the sweep's maximum
+    for m in range(1, 1200):
+        assert exponent._alpha_value(m) == alpha(m).alpha, m
+    for m in OVERFLOWING_MODULI:
+        h = cyclotomic_cosets(m).h
+        assert exponent._alpha_value(m) == pytest.approx(exponent._full_range_max(m, h),
+                                                         abs=1e-12), m
+    assert exponent._alpha_value(2 * 2187) == pytest.approx(LAMBDA, abs=1e-15)
+
+
 def test_alpha_constant_on_cosets():
     for m in range(3, 100, 2):
         dec = cyclotomic_cosets(m)

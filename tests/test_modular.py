@@ -10,7 +10,7 @@ from gelfond.modular import (
     MR_BASES,
     MR_LIMIT,
     PRIME_BITS,
-    crt_root,
+    crt_passes,
     crt_symmetric,
     miller_rabin,
     prime_factors,
@@ -161,11 +161,30 @@ def test_crt_symmetric_recovers_signed_values():
 
 
 @pytest.mark.parametrize("m", [3, 17, 63])
-def test_crt_root_is_a_root_of_order_m_mod_every_prime(m):
-    primes = split_primes(m, 300)
-    modulus, w = crt_root(primes)
-    assert modulus == math.prod(p for p, _ in primes)
-    assert 2 * abs(w) < modulus
-    for p, w_p in primes:
-        assert w % p == w_p
-    assert crt_root(()) == (1, 0)
+def test_crt_passes_hand_each_pass_a_root_of_order_m(m):
+    # 1200 bits take 20 primes, so three passes of at most PASS_PRIMES
+    bits = 1200
+    primes = dict(split_primes(m, bits))
+    rng = random.Random(m)
+    values = [rng.randrange(-(1 << (bits - 1)) + 1, 1 << (bits - 1)) for _ in range(5)]
+    values += [0, 1, -1]
+    passes = []
+
+    def evaluate(modulus, powers):
+        passes.append((modulus, powers))
+        return [v % modulus for v in values]
+
+    assert crt_passes(m, bits, evaluate) == values
+    assert len(passes) == -(-len(primes) // modular.PASS_PRIMES) == 3
+    assert math.prod(modulus for modulus, _ in passes) == math.prod(primes)
+    for modulus, powers in passes:
+        assert len(powers) == m
+        assert all(powers[t] == pow(powers[1], t, modulus) for t in range(m))
+        group = [p for p in primes if modulus % p == 0]
+        assert 0 < len(group) <= modular.PASS_PRIMES
+        assert math.prod(group) == modulus
+        for p in group:
+            w = powers[1] % p
+            assert w == primes[p]
+            assert pow(w, m, p) == 1
+            assert all(pow(w, m // q, p) != 1 for q in prime_factors(m))

@@ -190,8 +190,8 @@ def test_exact_fallback_equals_mpmath_expansion(m, monkeypatch):
     # the split-prime expansion is the only route, for small m as for large;
     # at 243 = 3^5 the orbit powers h/h_j run 1, 3, 9, 27 and 81
     used = []
-    split_primes = recurrence.split_primes
-    monkeypatch.setattr(recurrence, "split_primes",
+    split_primes = modular.split_primes
+    monkeypatch.setattr(modular, "split_primes",
                         lambda *args: used.append(args) or split_primes(*args))
     dec = cyclotomic_cosets(m)
     spec = coefficients_spectral(dec)
@@ -200,6 +200,25 @@ def test_exact_fallback_equals_mpmath_expansion(m, monkeypatch):
     assert spec.coefficients == _mpmath_coefficients(dec)
     for a in (0, 1, m - 1):
         assert verify_recurrence(spec, a).max_defect == 0
+
+
+def test_spectral_passes_group_the_split_primes(monkeypatch):
+    # one pass per group of at most PASS_PRIMES primes, joined by CRT: the
+    # coefficients must not depend on the grouping
+    passes = []
+    crt_passes = modular.crt_passes
+    monkeypatch.setattr(recurrence, "crt_passes", lambda m, bits, evaluate: crt_passes(
+        m, bits, lambda modulus, powers: passes.append(modulus) or evaluate(modulus, powers)))
+    for m in (511, 683, 1023):
+        dec = cyclotomic_cosets(m)
+        primes = modular.split_primes(m, dec.r * (dec.h + 1) + 1)
+        expected = coefficients_spectral(dec).coefficients
+        for k in (1, 3, 8, 100):
+            monkeypatch.setattr(modular, "PASS_PRIMES", k)
+            passes.clear()
+            assert coefficients_spectral(dec).coefficients == expected, (m, k)
+            assert len(passes) == -(-len(primes) // k), (m, k)
+            assert math.prod(passes) == math.prod(p for p, _ in primes), (m, k)
 
 
 def test_second_call_reuses_the_split_primes(monkeypatch):

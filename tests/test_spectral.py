@@ -68,8 +68,8 @@ def test_explicit_passes_group_the_split_primes(monkeypatch):
     one_pass = spectral._character_sum_mod
     monkeypatch.setattr(spectral, "_character_sum_mod",
                         lambda *args: moduli.append(args[4]) or one_pass(*args))
-    for k, passes in ((1, 17), (3, 6), (spectral.PASS_PRIMES, 3), (17, 1)):
-        monkeypatch.setattr(spectral, "PASS_PRIMES", k)
+    for k, passes in ((1, 17), (3, 6), (modular.PASS_PRIMES, 3), (17, 1)):
+        monkeypatch.setattr(modular, "PASS_PRIMES", k)
         moduli.clear()
         assert newman_sum_explicit(m, a, x) == expected, k
         assert len(moduli) == passes, k
