@@ -41,7 +41,7 @@ MAX_DP_WORK = 1 << 24
 MAX_PROFILE_NS = 10**9
 #: Largest predicted time (spectral.explicit_cost_ns) that `sum` with
 #: `--method explicit` or `all` accepts.  At this bound, m = 17 with a
-#: 2381-bit x of all ones took 1.2-1.3 s on the same machine.
+#: 7810-bit x of all ones took 0.89-0.96 s on the same machine.
 MAX_EXPLICIT_NS = 10**9
 #: Largest `scan --max` accepted.  The scan's least-factor sieve takes
 #: O(limit) time and memory; at this bound a scan took 0.85-1.1 s and about

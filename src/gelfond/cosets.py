@@ -70,6 +70,25 @@ def _orbits(m: int) -> Iterator[tuple[int, ...]]:
             yield orbit
 
 
+def _effective_roots_mod(orbits, h: int, modulus: int, powers: list) -> list[int]:
+    """Z_j = (prod_{t in C_j} (1 - w^t))^(h/h_j) mod M for each orbit C_j of
+    `orbits`, in one pass of modular.crt_passes: powers[t] = w^t mod M, with
+    w of order m in every prime field of M.  Since 2^h == 1 (mod m), Z_j is
+    also the product of 1 - w^(t 2^i) over any h consecutive i, for any t in
+    C_j: one whole period of F_t(2^v) = prod_{i<v} (1 - w^(t 2^i)), so
+    F_t(2^(k h + s)) = Z_j^k F_t(2^s).  The mirror orbit -C_j has
+    Z = (-1)^h Z_j, since 1 - w^(-u) = -w^(-u) (1 - w^u) and the w^(-u)
+    multiply to 1 over a period.  Costs one product per residue of the
+    orbits and one power per orbit, and holds one residue per orbit."""
+    roots = []
+    for orbit in orbits:
+        z = 1
+        for t in orbit:
+            z = z * (1 - powers[t]) % modulus
+        roots.append(pow(z, h // len(orbit), modulus))
+    return roots
+
+
 def cyclotomic_cosets(m: int) -> CosetDecomposition:
     """Every orbit of t -> 2t (mod m) on {1, ..., m-1}, ordered by smallest
     element, held at once: m - 1 ints in all.  A caller that needs one orbit

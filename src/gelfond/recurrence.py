@@ -25,7 +25,7 @@ from itertools import islice
 from math import gcd
 from typing import NamedTuple
 
-from .cosets import CosetDecomposition, cyclotomic_cosets
+from .cosets import CosetDecomposition, _effective_roots_mod, cyclotomic_cosets
 from .modular import crt_passes
 from .sums import _check_query, _dyadic_stream, _sums_in_one_pass
 
@@ -67,7 +67,7 @@ class VerificationReport(NamedTuple):
 def coefficients_spectral(dec: CosetDecomposition) -> RecurrenceSpec:
     """c_i = (-1)^i e_i(Z_1, ..., Z_r), exactly, by expanding prod (z - Z_j)
     in the split-prime passes of modular.crt_passes, w standing for
-    e^{2 pi i/m}.  Z_j == (prod_{t in C_j} (1 - w^t))^(h/h_j) in each pass:
+    e^{2 pi i/m}.  Each pass reads Z_j mod M from cosets._effective_roots_mod:
     each coset is read once, m - 1 products and r powers in all.
     |c_i| <= C(r, i) 2^(h i) < 2^(r (h+1)), which fixes the bits.
     """
@@ -75,11 +75,7 @@ def coefficients_spectral(dec: CosetDecomposition) -> RecurrenceSpec:
 
     def expand(modulus: int, powers: list[int]) -> list[int]:
         poly = [1]
-        for orbit in dec.cosets:
-            z = 1
-            for t in orbit:
-                z = z * (1 - powers[t]) % modulus
-            z = pow(z, h // len(orbit), modulus)
+        for z in _effective_roots_mod(dec.cosets, h, modulus, powers):
             poly = [(c - z * d) % modulus for c, d in zip([*poly, 0], [0, *poly])]
         return poly[1:]
 

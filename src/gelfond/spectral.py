@@ -12,48 +12,85 @@ character e^{-2 pi i t a / m} over t recovers S(m, a, N) exactly.
 newman_sum_explicit evaluates that average with integer arithmetic only,
 in the split-prime passes of modular.crt_passes, with primes enough that the
 symmetric residue is the integer by the bound |S(m, a, N)| <= ceil(N/m).
-Nothing is rounded.  One pass costs O(m log N) products, and one pass
-serves every N below about 2^490.  An even m = 2^k m' is folded to its
-odd part in closed form by sums._odd_query, and the blocks P_g are those
-of sums._set_bits, the split the DP reads too.  Past that shared front end
-the route reads only the bits of N and the roots of unity, never the digit
-DP, so it stays an independent check on it.  The floating-point root
+Nothing is rounded.  The products repeat with the period h = ord_m(2) and
+pair t with -t, so one pass costs about (m/2)(min(h, log N) + s(N))
+products, s(N) the number of set bits of N, and one pass serves every N
+below about 2^490.  An even m = 2^k m' is folded to its odd part in closed
+form by sums._odd_query, and the blocks P_g are those of sums._set_bits,
+the split the DP reads too.  Past that shared front end the route reads
+only the bits of N, the doubling orbits and the roots of unity, never the
+digit DP, so it stays an independent check on it.  The floating-point root
 spectrum of the same cosets is exponent.alpha's.
 """
 
 from __future__ import annotations
 
-from .modular import PRIME_BITS, crt_passes
+from itertools import accumulate
+
+from .cosets import _effective_roots_mod, _orbits
+from .modular import PASS_PRIMES, PRIME_BITS, crt_passes
 from .sums import _check_query, _odd_query, _set_bits
 
-#: Time of one step (one t, one level of x, one split prime) of the modular
-#: character sum, measured for m from 1 to 10^5 on a 2-CPU Xeon with
-#: Python 3.11.  A pass mod the product of k <= modular.PASS_PRIMES primes
-#: costs no more per step than k steps, so the constant stands for the pass.
-EXPLICIT_STEP_NS = 250
+#: Time of one product of the modular character sum mod one pass's modulus,
+#: its list and index work included.  Up to modular.PASS_PRIMES primes a
+#: product costs about the same, so explicit_cost_ns counts products per
+#: pass.  For m from 1 to 10^5 and x up to 14265 bits, queries predicted
+#: above 0.1 s ran in 0.4-1.0 times the prediction, their first call's
+#: prime search included, on a 2-CPU Xeon with Python 3.11.7 in its fast
+#: state (about 1.5 times slower in its slow one).  A power x = 2^v with
+#: v >= h ran faster still, since it steps only the levels below v mod h.
+EXPLICIT_STEP_NS = 500
 
-def _character_sum_mod(m: int, a: int, terms: dict, top: int, p: int, powers: list) -> int:
-    """S(m, a, n) mod p as (1/m) sum_t w^(-ta) F_t(n), for one pass of
-    modular.crt_passes: p its modulus, powers[t] = w^t mod p.  `terms`
-    maps each set bit v of n to (-1)^s(P) and P mod m, P the bits of n above
-    v, as _set_bits(m, n) gives them; `top` is n's top bit.  Then
-    F_t(n) = sum over v of (-1)^s(P) w^(t P) F_t(2^v).
 
-    All m values of t advance level by level together, so one step is one
-    product mod p for each t.
+def _character_sum_mod(orbits: list, h: int, phases: list, ks: list, p: int,
+                       powers: list) -> int:
+    """The blocks v >= 1 of S(m, a, n) mod p, as (1/m) sum_t w^(-ta) F_t(n),
+    for one pass of modular.crt_passes: p its modulus, powers[t] = w^t mod p,
+    m = len(powers) odd.  phases[s] lists (k, (-1)^s(P), c, d, v even) for
+    each set bit v = k h + s of n, with c = (P - a) mod m and
+    d = (1 - c - 2^v) mod m, P the bits of n above v; ks lists 0 and every
+    k that occurs, ascending.
+
+    F_t(2^v) = prod_{i<v} (1 - w^(t 2^i)) is 0 at t = 0, and two identities
+    give every other F_t(2^v) from the first h levels:
+      period: F_t(2^(k h + s)) = Z_j^k F_t(2^s), for t in the orbit C_j, since
+        2^h == 1 (mod m) and h levels multiply to Z_j
+        (cosets._effective_roots_mod);
+      mirror: F_{-t}(2^v) = (-1)^v w^(-t (2^v - 1)) F_t(2^v), so the pair
+        t, -t contributes F_t(2^v) (w^(t c) + (-1)^v w^(t d)).
+    `orbits` holds one orbit of each mirror pair C, -C, and each C = -C; of
+    the latter only the first half is stepped, since t 2^(h_j/2) = -t.  So
+    about m/2 values of t advance through len(phases) <= h levels, a set bit
+    costs one product per t and one per orbit, and nothing is stepped past
+    level h.  Z_j^k is formed once per pass for each k of ks, from the last
+    one by a power.  Memory: O(m) residues, plus one Z_j^k for every orbit
+    kept and every k of ks, which are at most floor(log2 n / h) + 1 and at
+    most the number of set bits of n.
     """
-    factors = [1 - z for z in powers]   # 1 - w^(t 2^v) at level v, by t
-    double = [2 * t % m for t in range(m)]
-    prods = [1] * m                     # F_t(2^v) mod p
+    m = len(powers)
+    stepped = [o[: len(o) // 2] if o[0] + max(o) == m else o for o in orbits]
+    ts = [t for part in stepped for t in part]
+    ends = list(accumulate(map(len, stepped)))
+    bounds = list(zip([0, *ends], ends))
+    roots = _effective_roots_mod(orbits, h, p, powers) if len(ks) > 1 else []
+    table, last = {0: [1] * len(roots)}, 0     # table[k][j] = Z_j^k
+    for k in ks[1:]:
+        table[k] = [y * pow(z, k - last, p) % p for y, z in zip(table[last], roots)]
+        last = k
+    one_minus = [1 - z for z in powers]
+    negated = [-z for z in powers]
+    prods, level = [1] * len(ts), ts    # F_t(2^s) and t 2^s mod m, by t
     total = 0
-    for v in range(top + 1):
-        if v in terms:
-            sign, prefix = terms[v]
-            c = (prefix - a) % m
-            total += sign * sum([z * powers[t * c % m] for t, z in enumerate(prods)])
-        if v < top:
-            prods = [z * f % p for z, f in zip(prods, factors)]
-            factors = [factors[i] for i in double]
+    for s, blocks in enumerate(phases):
+        if s:
+            prods = [z * one_minus[u] % p for z, u in zip(prods, level)]
+            level = [2 * u % m for u in level]
+        for k, sign, c, d, even in blocks:
+            mirror = powers if even else negated
+            vals = [z * (powers[t * c % m] + mirror[t * d % m]) for z, t in zip(prods, ts)]
+            if k:
+                vals = [y * sum(vals[lo:hi]) for y, (lo, hi) in zip(table[k], bounds)]
+            total += sign * sum(vals)
     return total * pow(m, -1, p) % p
 
 
@@ -65,18 +102,30 @@ def _sum_bits(m: int, x: int) -> int:
 def explicit_cost_ns(m: int, x: int) -> int:
     """Predicted time of newman_sum_explicit(m, a, x).
 
-    After the even fold, the passes cost one step per t and per split prime
-    for every level of x and again for every set bit: a pass mod the product
-    of k primes costs at most k steps per t and level.  Each level also pays
-    about four steps of fixed overhead, and the tables about two levels.
-    The primes are drawn from just below 2^PRIME_BITS, so each carries at
-    least PRIME_BITS - 1 bits, which bounds their count.
+    After the even fold, a pass steps about m/2 values of t through
+    min(h, log2 x) levels, and each set bit costs one product per stepped t
+    and one per orbit kept, which the model puts at m/min(h, log2 x) + 1;
+    so does each power Z_j^k, one for each of the log2(x)/h periods that
+    holds a set bit.  A stepped level counts twice, since each of its
+    products is also reduced mod the pass's modulus.  Each level and set
+    bit also pays about four products of fixed overhead, and the power
+    table, the orbits and the Z_j about four m.  The primes are drawn from
+    just below 2^PRIME_BITS, so each carries at least PRIME_BITS - 1 bits,
+    which bounds their count and so the passes.  h is read by a doubling
+    walk cut off at log2 x, so the model never walks further.
     """
     _check_query(m, 0, x)
     _, m, _, k, _ = _odd_query(m, 0)
     x >>= k
+    bits, ones = x.bit_length(), x.bit_count()
+    levels, u = 1, 2 % m
+    while levels < bits and u != 1 % m:
+        levels, u = levels + 1, 2 * u % m
+    orbits = m // levels + 1
     primes = _sum_bits(m, x) // (PRIME_BITS - 1) + 1
-    return EXPLICIT_STEP_NS * (m + 4) * (x.bit_length() + x.bit_count() + 2) * primes
+    products = ((m // 2 + 4) * (2 * levels + ones)
+                + orbits * (ones + min(ones, bits // levels + 1)) + 4 * m)
+    return EXPLICIT_STEP_NS * products * -(-primes // PASS_PRIMES)
 
 
 def newman_sum_explicit(m: int, a: int, x: int) -> int:
@@ -87,13 +136,28 @@ def newman_sum_explicit(m: int, a: int, x: int) -> int:
     Any m >= 1 is accepted: an even m = 2^k m' is folded by the closed form
     S(m, a, x) = (-1)^s(a0) S(m', a >> k, (x + 2^k - 1 - a0) >> k) with
     a0 = a mod 2^k (sums._odd_query), and the character average runs on m'.
+    The block of bit 0 is the one integer P, counted when P == a (mod m');
+    the passes evaluate the blocks above it (see _character_sum_mod).
     """
     _check_query(m, a, x)
     sign, m, a, k, pad = _odd_query(m, a)
     x = (x + pad) >> k
     if x == 0:
         return 0
-    terms = {i: (s, prefix) for i, prefix, s in _set_bits(m, x)}
-    [value] = crt_passes(m, _sum_bits(m, x), lambda modulus, powers: [
-        _character_sum_mod(m, a, terms, x.bit_length() - 1, modulus, powers)])
-    return sign * value
+    # one orbit of each mirror pair: C is kept when min C <= min(-C) = m - max C
+    orbits = [o for o in _orbits(m) if o[0] + max(o) <= m]
+    h = len(orbits[0]) if orbits else 1     # the orbit of 1 comes first
+    phases = [[] for _ in range(min(h, x.bit_length()))]
+    value = 0
+    for i, prefix, s in _set_bits(m, x):
+        c = (prefix - a) % m
+        if i == 0:
+            value = s if c == 0 else 0
+        else:
+            phases[i % h].append((i // h, s, c, (1 - c - pow(2, i, m)) % m, i % 2 == 0))
+    while phases and not phases[-1]:
+        phases.pop()
+    ks = sorted({0, *(k for blocks in phases for k, *_ in blocks)})
+    [rest] = crt_passes(m, _sum_bits(m, x), lambda modulus, powers: [
+        _character_sum_mod(orbits, h, phases, ks, modulus, powers)])
+    return sign * (value + rest)

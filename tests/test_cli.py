@@ -244,12 +244,13 @@ def test_explicit_cost_guard(capsys, monkeypatch):
     # benchmark's CLI session (m < 40, x < 2^20) are accepted
     assert spectral.explicit_cost_ns(17, 131072) <= cli.MAX_EXPLICIT_NS
     assert max(spectral.explicit_cost_ns(m, (1 << 20) - 1) for m in range(1, 41)) <= cli.MAX_EXPLICIT_NS
-    # at the bound: 17 with 2381 one-bits predicts 0.975 s, one more bit 1.0009 s
-    at_bound, past_bound = (1 << 2381) - 1, (1 << 2382) - 1
+    # at the bound: 17 with 7810 one-bits predicts 0.963 s, and one more bit,
+    # whose primes take one more pass, 1.023 s
+    at_bound, past_bound = (1 << 7810) - 1, (1 << 7811) - 1
     assert spectral.explicit_cost_ns(17, at_bound) <= cli.MAX_EXPLICIT_NS
     assert spectral.explicit_cost_ns(17, past_bound) > cli.MAX_EXPLICIT_NS
     env = run_json(capsys, "sum", "17", "3", str(at_bound), "--method", "explicit")
-    assert env["result"]["value"] == str(newman_sum_dp(17, 3, at_bound))  # 1506 bits
+    assert env["result"]["value"] == str(newman_sum_dp(17, 3, at_bound))  # 4944 bits
 
     def no_explicit(*args):
         raise AssertionError("the explicit sum must not start")
@@ -405,7 +406,7 @@ COMMAND_LAYERS = {
     "cosets": {"cosets", "modular"},
     "classify": {"cosets", "modular"},
     "counts": {"sums"},
-    "sum": {"sums", "spectral", "modular"},
+    "sum": {"sums", "spectral", "cosets", "modular"},
     "recurrence": {"recurrence", "cosets", "modular", "sums"},
     "alpha": ALPHA_LAYERS,
     "table": ALPHA_LAYERS,

@@ -58,6 +58,27 @@ def test_explicit_equals_dp_random_large():
         assert newman_sum_explicit(m, a, x) == newman_sum_dp(m, a, x), (m, a, bits)
 
 
+def test_explicit_periods_and_mirrors_equal_the_dp():
+    # x of 3h + 1 and 5h + 2 bits, h = ord_m(2), spans every phase s < h and
+    # the powers Z_j^k up to k = 3 and 5, with both signs (-1)^v of the mirror
+    # pairs t, -t; 200 bits is one more length, and bit 0 is set and clear.
+    # Even m (x shifted past the folded bits) and m = 1 reach the same passes
+    # through the fold.  The DP reference is newman_sum_dp's pass, run once
+    # for the six x.
+    rng = random.Random(28)
+    for m in [*range(1, 64, 2), 2, 12, 46]:
+        k = (m & -m).bit_length() - 1
+        odd = m >> k
+        h = cyclotomic_cosets(odd).h if odd > 1 else 1
+        xs = []
+        for bits in (3 * h + 1, 5 * h + 2, 200):
+            y = rng.getrandbits(bits) | 1 << (bits - 1)
+            xs += [(y | 1) << k | rng.getrandbits(k), (y & ~1) << k | rng.getrandbits(k)]
+        for a in range(m):
+            expected = sums._sums_in_one_pass(m, a, xs)
+            assert [newman_sum_explicit(m, a, x) for x in xs] == expected, (m, a)
+
+
 def test_explicit_passes_group_the_split_primes(monkeypatch):
     # a 1000-bit x needs 17 split primes: one pass per group of k or fewer
     m, a, x = 5, 3, (1 << 1000) + 12345
