@@ -22,27 +22,23 @@ from . import exponent as expo
 SCHEMA_VERSION = "1"
 BIG_INT = 1 << 53
 
-#: Largest number of DP cells that `sum` (dp, all) and `counts` accept.  The
-#: DP folds m to its odd part m' = m >> k, k = v2(m), and x to x >> k, then
-#: costs m' * bit_length(x >> k) additions of integers of at most
-#: bit_length(x) bits, with O(m') of them live (about 0.6 m' additions per
-#: level on the half-state pass of odd m' >= 65).  At this bound a query took
-#: 4.8 s and 19 MiB at m = 1173 with a 4300-digit x (the longest the CLI
-#: parses), whose additions are wide, and 0.5 s and 143 MiB at m = 2^23 - 1
-#: with a 2-bit x, on a 2-CPU Xeon with Python 3.11; the full-vector pass
-#: took 8.8 s and 21 MiB, and 0.8 s and 207 MiB, timed alongside.
+#: Largest number of DP cells that `sum` (dp, all) and `counts` accept: the
+#: odd part m' of m times the levels of the folded x (sums._odd_query), each
+#: an addition of integers of at most bit_length(x) bits, with O(m') of them
+#: live (about 0.6 m' per level on the half-state pass of odd m' >= 65).  At
+#: this bound a query took 4.8 s and 19 MiB at m = 1173 with a 4300-digit x
+#: (the longest the CLI parses), and 0.5 s and 143 MiB at m = 2^23 - 1 with a
+#: 2-bit x, on a 2-CPU Xeon with Python 3.11; the full-vector pass took 8.8 s
+#: and 21 MiB, and 0.8 s and 207 MiB.
 MAX_DP_WORK = 1 << 24
-#: Largest predicted profile time (empirical.profile_cost_ns) that `empirical`
-#: accepts.  Every max_exp <= 32 predicts at most 0.08 s for any m, so only
-#: deeper profiles of larger m are refused.  At this bound a run took at most
-#: 1.1 s and 25 MiB (m = 6510 at max_exp = 256, m = 41666 at max_exp = 40) on
-#: the same machine; the remainder scan picks its cheaper route too and stays
-#: under 0.02 s for every m.
-MAX_PROFILE_NS = 10**9
-#: Largest predicted time (spectral.explicit_cost_ns) that `sum` with
-#: `--method explicit` or `all` accepts.  At this bound, m = 17 with a
-#: 7810-bit x of all ones took 0.89-0.96 s on the same machine.
-MAX_EXPLICIT_NS = 10**9
+#: Largest predicted time that `empirical` (empirical.profile_cost_ns) and
+#: `sum --method explicit|all` (spectral.explicit_cost_ns) accept.  Every
+#: max_exp <= 32 predicts at most 0.08 s for any m.  At this bound a profile
+#: took at most 1.1 s and 25 MiB (m = 6510 at max_exp = 256, m = 41666 at
+#: max_exp = 40), its remainder scan under 0.02 s for every m, and an
+#: explicit sum at m = 17 with a 7810-bit x of all ones 0.89-0.96 s, on the
+#: same machine.
+MAX_PREDICTED_NS = 10**9
 #: Largest `scan --max` accepted.  The scan's least-factor sieve takes
 #: O(limit) time and memory; at this bound a scan took 0.85-1.1 s and about
 #: 6 MiB on the same machine.
@@ -142,14 +138,14 @@ def _cmd_alpha(args):
     return result
 
 
-def _dp_cells(m: int, x: int) -> int:
-    """The digit DP's cells: the odd part m' of m times bit_length(x >> v2(m))."""
-    _, odd, _, k, _ = sums._odd_query(m, 0)  # m >= 1, checked by the caller
-    return odd * (x >> k).bit_length()
+def _dp_cells(m: int, a: int, x: int) -> int:
+    """The digit DP's cells: m' times the levels of the folded x (see MAX_DP_WORK)."""
+    _, odd, _, k, pad = sums._odd_query(m, a)  # m, a checked by the caller
+    return odd * ((x + pad) >> k).bit_length()
 
 
-_DP_LIMIT = ("odd part of m times bit_length(x >> v2(m)) = {value} exceeds "
-             "the digit-DP limit {limit}")
+_DP_LIMIT = ("odd part of m times the bit length of the folded x = {value} "
+             "exceeds the digit-DP limit {limit}")
 
 #: The routes of `sum`, each read from its layer at call time, so that only
 #: the layers of the routes asked for run.
@@ -164,9 +160,9 @@ def _cmd_sum(args):
     m, a, x, method = args.m, args.a, args.x, args.method
     sums._check_query(m, a, x)
     if method in ("dp", "all"):
-        _check_limit(_dp_cells(m, x), MAX_DP_WORK, _DP_LIMIT)
+        _check_limit(_dp_cells(m, a, x), MAX_DP_WORK, _DP_LIMIT)
     if method in ("explicit", "all"):
-        _check_limit(spectral.explicit_cost_ns(m, x), MAX_EXPLICIT_NS,
+        _check_limit(spectral.explicit_cost_ns(m, x), MAX_PREDICTED_NS,
                      "predicted explicit-sum time {value} ns exceeds the limit {limit} ns")
     skipped = ["enumerate"] if method == "all" and x > sums.ENUMERATION_CAP else []
     methods = {name: route(m, a, x) for name, route in _SUM_ROUTES.items()
@@ -185,7 +181,7 @@ def _cmd_sum(args):
 def _cmd_counts(args):
     m, a, x = args.m, args.a, args.x
     sums._check_query(m, a, x)
-    _check_limit(_dp_cells(m, x), MAX_DP_WORK, _DP_LIMIT)
+    _check_limit(_dp_cells(m, a, x), MAX_DP_WORK, _DP_LIMIT)
     t_even, t_odd = sums.parity_counts(m, a, x)
     return {
         "m": m,
@@ -270,7 +266,7 @@ def _table_csv(result):
 
 def _cmd_empirical(args):
     sums._check_query(args.m, args.a, 0)
-    _check_limit(emp.profile_cost_ns(args.m, args.max_exp), MAX_PROFILE_NS,
+    _check_limit(emp.profile_cost_ns(args.m, args.max_exp), MAX_PREDICTED_NS,
                  "predicted profile time {value} ns exceeds the limit {limit} ns")
     profile = emp.dyadic_profile(args.m, args.a, args.max_exp)
     exponent = expo._alpha_value(args.m)

@@ -13,14 +13,15 @@ newman_sum_explicit evaluates that average with integer arithmetic only,
 in the split-prime passes of modular.crt_passes, with primes enough that the
 symmetric residue is the integer by the bound |S(m, a, N)| <= ceil(N/m).
 Nothing is rounded.  The products repeat with the period h = ord_m(2) and
-pair t with -t, so one pass costs about (m/2)(min(h, log N) + s(N))
-products, s(N) the number of set bits of N, and one pass serves every N
-below about 2^490.  An even m = 2^k m' is folded to its odd part in closed
-form by sums._odd_query, and the blocks P_g are those of sums._set_bits,
-the split the DP reads too.  Past that shared front end the route reads
-only the bits of N, the doubling orbits and the roots of unity, never the
-digit DP, so it stays an independent check on it.  The floating-point root
-spectrum of the same cosets is exponent.alpha's.
+pair t with -t, so a pass steps about m/2 products per level only up to the
+highest phase v mod h of a set bit v of N, plus about m/2 per set bit, and
+one pass serves every N below about 2^490.  One plan of that work, _plan, is
+read by the route and by its cost model, explicit_cost_ns.  An even
+m = 2^k m' is folded to its odd part by sums._odd_query, and the blocks P_g
+are those of sums._set_bits, the split the DP reads too.  Past that shared
+front end the route reads only the bits of N, the doubling orbits and the
+roots of unity, never the digit DP, so it stays an independent check on it.
+The floating-point root spectrum of the same cosets is exponent.alpha's.
 """
 
 from __future__ import annotations
@@ -34,11 +35,10 @@ from .sums import _check_query, _odd_query, _set_bits
 #: Time of one product of the modular character sum mod one pass's modulus,
 #: its list and index work included.  Up to modular.PASS_PRIMES primes a
 #: product costs about the same, so explicit_cost_ns counts products per
-#: pass.  For m from 1 to 10^5 and x up to 14265 bits, queries predicted
-#: above 0.1 s ran in 0.4-1.0 times the prediction, their first call's
-#: prime search included, on a 2-CPU Xeon with Python 3.11.7 in its fast
-#: state (about 1.5 times slower in its slow one).  A power x = 2^v with
-#: v >= h ran faster still, since it steps only the levels below v mod h.
+#: pass.  Random queries with m up to 10^5 and x up to 14265 bits, predicted
+#: at 0.1-1.5 s, ran in 0.3-1.4 times the prediction on their first call,
+#: its prime search included, on a 2-CPU Xeon with Python 3.11.7 (about 1.5
+#: times slower when the host is in its slow state).
 EXPLICIT_STEP_NS = 500
 
 
@@ -99,65 +99,67 @@ def _sum_bits(m: int, x: int) -> int:
     return (-(-x // m)).bit_length() + 1
 
 
-def explicit_cost_ns(m: int, x: int) -> int:
-    """Predicted time of newman_sum_explicit(m, a, x).
+def _plan(m: int, a: int, x: int) -> tuple:
+    """newman_sum_explicit's work, read by it and by explicit_cost_ns:
+    (sign, m', value, phases, ks, h, bits).  sign and m' fold x to
+    x' = (x + pad) >> k (sums._odd_query); value is the bit-0 block, the one
+    integer P, counted when P == a (mod m'); phases and ks, trailing empty
+    phases dropped, are the blocks above it for _character_sum_mod, and
+    bits = _sum_bits(m', x') sizes its primes.  h = ord_m'(2) comes from a
+    doubling walk cut off at the bit length of x': when the cut stops it,
+    every v is below h, so ks = [0] and h, read only for the Z_j, is unread.
+    """
+    sign, m, a, k, pad = _odd_query(m, a)
+    x = (x + pad) >> k
+    h, u = 1, 2 % m
+    while h < x.bit_length() and u != 1 % m:
+        h, u = h + 1, 2 * u % m
+    phases = [[] for _ in range(h)]
+    value = 0
+    for i, prefix, s in _set_bits(m, x):
+        c = (prefix - a) % m
+        if i:
+            phases[i % h].append((i // h, s, c, (1 - c - pow(2, i, m)) % m, i % 2 == 0))
+        elif c == 0:
+            value = s
+    while phases and not phases[-1]:
+        phases.pop()
+    ks = sorted({0, *(k for blocks in phases for k, *_ in blocks)})
+    return sign, m, value, phases, ks, h, _sum_bits(m, x)
 
-    After the even fold, a pass steps about m/2 values of t through
-    min(h, log2 x) levels, and each set bit costs one product per stepped t
-    and one per orbit kept, which the model puts at m/min(h, log2 x) + 1;
-    so does each power Z_j^k, one for each of the log2(x)/h periods that
-    holds a set bit.  A stepped level counts twice, since each of its
-    products is also reduced mod the pass's modulus.  Each level and set
-    bit also pays about four products of fixed overhead, and the power
-    table, the orbits and the Z_j about four m.  The primes are drawn from
-    just below 2^PRIME_BITS, so each carries at least PRIME_BITS - 1 bits,
-    which bounds their count and so the passes.  h is read by a doubling
-    walk cut off at log2 x, so the model never walks further.
+
+def explicit_cost_ns(m: int, x: int) -> int:
+    """Predicted time of newman_sum_explicit(m, a, x), from the levels, set
+    bits and periods of its _plan.  A pass steps about m/2 values of t per
+    level, counted twice, since each product is also reduced mod the pass's
+    modulus.  Each set bit costs one product per stepped t and one per orbit
+    kept, which the model puts at m/h + 1, and each period's Z_j^k one per
+    orbit.  Each level and set bit also pays about four products of fixed
+    overhead, and the power table, the orbits and the Z_j about four m.
+    Each prime carries at least PRIME_BITS - 1 bits, which bounds the
+    passes.  A plan with no phase runs no pass and costs nothing.
     """
     _check_query(m, 0, x)
-    _, m, _, k, _ = _odd_query(m, 0)
-    x >>= k
-    bits, ones = x.bit_length(), x.bit_count()
-    levels, u = 1, 2 % m
-    while levels < bits and u != 1 % m:
-        levels, u = levels + 1, 2 * u % m
-    orbits = m // levels + 1
-    primes = _sum_bits(m, x) // (PRIME_BITS - 1) + 1
-    products = ((m // 2 + 4) * (2 * levels + ones)
-                + orbits * (ones + min(ones, bits // levels + 1)) + 4 * m)
+    _, m, _, phases, ks, h, bits = _plan(m, 0, x)
+    if not phases:
+        return 0
+    levels, ones = len(phases), sum(map(len, phases))
+    primes = bits // (PRIME_BITS - 1) + 1
+    products = (m // 2 + 4) * (2 * levels + ones) + (m // h + 1) * (ones + len(ks)) + 4 * m
     return EXPLICIT_STEP_NS * products * -(-primes // PASS_PRIMES)
 
 
 def newman_sum_explicit(m: int, a: int, x: int) -> int:
-    """S(m, a, x) via the character average of F_{t/m}(x), evaluated exactly
-    mod split primes whose product exceeds 2 |S|, in the passes of
-    modular.crt_passes.
-
-    Any m >= 1 is accepted: an even m = 2^k m' is folded by the closed form
-    S(m, a, x) = (-1)^s(a0) S(m', a >> k, (x + 2^k - 1 - a0) >> k) with
-    a0 = a mod 2^k (sums._odd_query), and the character average runs on m'.
-    The block of bit 0 is the one integer P, counted when P == a (mod m');
-    the passes evaluate the blocks above it (see _character_sum_mod).
-    """
+    """S(m, a, x) for any m >= 1 via the character average of F_{t/m}(x),
+    evaluated exactly mod split primes whose product exceeds 2 |S|, in the
+    passes of modular.crt_passes: the bit-0 block of _plan, counted
+    directly, plus the blocks above it (see _character_sum_mod)."""
     _check_query(m, a, x)
-    sign, m, a, k, pad = _odd_query(m, a)
-    x = (x + pad) >> k
-    if x == 0:
-        return 0
+    sign, m, value, phases, ks, h, bits = _plan(m, a, x)
+    if not phases:
+        return sign * value
     # one orbit of each mirror pair: C is kept when min C <= min(-C) = m - max C
     orbits = [o for o in _orbits(m) if o[0] + max(o) <= m]
-    h = len(orbits[0]) if orbits else 1     # the orbit of 1 comes first
-    phases = [[] for _ in range(min(h, x.bit_length()))]
-    value = 0
-    for i, prefix, s in _set_bits(m, x):
-        c = (prefix - a) % m
-        if i == 0:
-            value = s if c == 0 else 0
-        else:
-            phases[i % h].append((i // h, s, c, (1 - c - pow(2, i, m)) % m, i % 2 == 0))
-    while phases and not phases[-1]:
-        phases.pop()
-    ks = sorted({0, *(k for blocks in phases for k, *_ in blocks)})
-    [rest] = crt_passes(m, _sum_bits(m, x), lambda modulus, powers: [
+    [rest] = crt_passes(m, bits, lambda modulus, powers: [
         _character_sum_mod(orbits, h, phases, ks, modulus, powers)])
     return sign * (value + rest)

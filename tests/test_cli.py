@@ -199,6 +199,27 @@ def test_dp_work_guard_counts_the_folded_cells(capsys):
     assert code == 2 and out == "" and "digit-DP limit" in err
 
 
+def test_dp_work_guard_counts_the_levels_the_dp_runs(capsys, monkeypatch):
+    # 8194 = 2 * 4097 at a = 0 pads x by 1 before the fold, so the DP runs
+    # 2^4095, 4096 levels of 4097 cells, past 2^24; x >> 1 alone has 4095
+    # levels, 2^24 - 1 cells, and at a = 1 the pad is 0 and so is the excess
+    x = (1 << 4096) - 1
+    assert 4097 * (x >> 1).bit_length() <= cli.MAX_DP_WORK < 4097 * 4096
+    assert cli._dp_cells(8194, 0, x) == 4097 * 4096
+    assert cli._dp_cells(8194, 1, x) == 4097 * 4095
+
+    def no_dp(*args):
+        raise AssertionError("the DP must not start")
+
+    monkeypatch.setattr(sums, "newman_sum_dp", no_dp)
+    monkeypatch.setattr(sums, "parity_counts", no_dp)
+    for argv in (("sum", "8194", "0", str(x)), ("counts", "8194", "0", str(x))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "digit-DP limit" in err
+
+
 def test_sum_all_folds_an_even_modulus_past_the_enumeration_cap(capsys):
     x = (1 << 40) + 12345
     for m, a in ((96, 37), (1000, 999), (1 << 12, 5)):
@@ -213,7 +234,7 @@ def test_profile_cost_guard(capsys, monkeypatch):
     # every depth up to 32 stays accepted for every m: below 2^16 the
     # max-plus DP or the class walk fits the guard, and from m = 2^16 on the
     # walk has at most 2^16 + 1 steps
-    assert max(cli.emp.profile_cost_ns(m, 32) for m in range(1, 1 << 16)) <= cli.MAX_PROFILE_NS
+    assert max(cli.emp.profile_cost_ns(m, 32) for m in range(1, 1 << 16)) <= cli.MAX_PREDICTED_NS
     # a large m at a shallow depth runs the class walk
     env = run_json(capsys, "empirical", "1572864", "0", "--max-exp", "28")
     blocks = env["result"]["blocks"]
@@ -222,8 +243,8 @@ def test_profile_cost_guard(capsys, monkeypatch):
         assert abs(newman_sum_enumerate(1572864, 0, x, cap=x)) == sup, nu
     # at the bound: 6510 * 256 max-plus cells predict 0.999936 s, one more m
     # 1.0000896 s
-    assert cli.emp.profile_cost_ns(6510, 256) <= cli.MAX_PROFILE_NS
-    assert cli.emp.profile_cost_ns(6511, 256) > cli.MAX_PROFILE_NS
+    assert cli.emp.profile_cost_ns(6510, 256) <= cli.MAX_PREDICTED_NS
+    assert cli.emp.profile_cost_ns(6511, 256) > cli.MAX_PREDICTED_NS
     env = run_json(capsys, "empirical", "6510", "1", "--max-exp", "256")
     assert len(env["result"]["blocks"]) == 256
 
@@ -242,13 +263,13 @@ def test_profile_cost_guard(capsys, monkeypatch):
 def test_explicit_cost_guard(capsys, monkeypatch):
     # README's `sum 17 0 131072 --method all` and every explicit sum of the
     # benchmark's CLI session (m < 40, x < 2^20) are accepted
-    assert spectral.explicit_cost_ns(17, 131072) <= cli.MAX_EXPLICIT_NS
-    assert max(spectral.explicit_cost_ns(m, (1 << 20) - 1) for m in range(1, 41)) <= cli.MAX_EXPLICIT_NS
+    assert spectral.explicit_cost_ns(17, 131072) <= cli.MAX_PREDICTED_NS
+    assert max(spectral.explicit_cost_ns(m, (1 << 20) - 1) for m in range(1, 41)) <= cli.MAX_PREDICTED_NS
     # at the bound: 17 with 7810 one-bits predicts 0.963 s, and one more bit,
     # whose primes take one more pass, 1.023 s
     at_bound, past_bound = (1 << 7810) - 1, (1 << 7811) - 1
-    assert spectral.explicit_cost_ns(17, at_bound) <= cli.MAX_EXPLICIT_NS
-    assert spectral.explicit_cost_ns(17, past_bound) > cli.MAX_EXPLICIT_NS
+    assert spectral.explicit_cost_ns(17, at_bound) <= cli.MAX_PREDICTED_NS
+    assert spectral.explicit_cost_ns(17, past_bound) > cli.MAX_PREDICTED_NS
     env = run_json(capsys, "sum", "17", "3", str(at_bound), "--method", "explicit")
     assert env["result"]["value"] == str(newman_sum_dp(17, 3, at_bound))  # 4944 bits
 
@@ -261,6 +282,26 @@ def test_explicit_cost_guard(capsys, monkeypatch):
         assert code == 2, (x.bit_length(), method)
         assert out == ""
         assert "predicted explicit-sum time" in err
+
+
+def test_explicit_cost_guard_reads_the_route_plan(capsys, monkeypatch):
+    # 2^14252 (4291 digits) holds its one set bit in phase 14252 mod 1018 = 0
+    # of m = 1019, so the explicit route steps no level and the guard, which
+    # counts the levels of the route's plan, predicts 0.08 s
+    x = 1 << 14252
+    env = run_json(capsys, "sum", "1019", "5", str(x), "--method", "all")
+    assert len(str(x)) == 4291
+    assert env["result"]["agree"] is True
+
+    # x = 1 has no block above bit 0: no orbit walk and no prime search
+    def no_pass(*args):
+        raise AssertionError("the explicit sum must not walk the orbits or search primes")
+
+    monkeypatch.setattr(spectral, "_orbits", no_pass)
+    monkeypatch.setattr(spectral, "crt_passes", no_pass)
+    assert spectral.explicit_cost_ns(300001, 1) == 0
+    env = run_json(capsys, "sum", "300001", "0", "1", "--method", "explicit")
+    assert env["result"]["value"] == 1
 
 
 def test_empirical_validates_input_before_the_cost_model(capsys, monkeypatch):

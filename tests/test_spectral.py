@@ -97,6 +97,22 @@ def test_explicit_passes_group_the_split_primes(monkeypatch):
         assert math.prod(moduli) == math.prod(p for p, _ in primes)
 
 
+def test_explicit_cost_counts_the_levels_the_route_steps():
+    # ord_1001(2) = 60: the one set bit of 2^14040 lies in phase 0, so the
+    # route steps no level, and that of 2^14039 in phase 59, so it steps 60
+    assert spectral.explicit_cost_ns(1001, 1 << 14040) < spectral.explicit_cost_ns(1001, 1 << 14039) / 5
+
+
+def test_plan_reads_h_only_where_the_cut_walk_reaches_it():
+    # the doubling walk stops at the bit length of x; a plan cut short has
+    # only k = 0, so no Z_j, the one reader of h, is formed
+    for m in range(1, 130, 2):
+        order = cyclotomic_cosets(m).h if m > 1 else 1
+        for bits in {0, 1, order - 1, order, order + 1, 2 * order + 1}:
+            *_, ks, h, _ = spectral._plan(m, 0, (1 << bits) - 1)
+            assert h == order or (h == max(bits, 1) and ks == [0]), (m, bits)
+
+
 def test_explicit_leaves_mpmath_unloaded():
     code = ("import sys; from gelfond.spectral import newman_sum_explicit; "
             "newman_sum_explicit(17, 3, 2**300 + 54321); "
