@@ -162,7 +162,7 @@ def _cmd_sum(args):
     if method in ("dp", "all"):
         _check_limit(_dp_cells(m, a, x), MAX_DP_WORK, _DP_LIMIT)
     if method in ("explicit", "all"):
-        _check_limit(spectral.explicit_cost_ns(m, x), MAX_PREDICTED_NS,
+        _check_limit(spectral.explicit_cost_ns(m, a, x), MAX_PREDICTED_NS,
                      "predicted explicit-sum time {value} ns exceeds the limit {limit} ns")
     skipped = ["enumerate"] if method == "all" and x > sums.ENUMERATION_CAP else []
     methods = {name: route(m, a, x) for name, route in _SUM_ROUTES.items()

@@ -128,7 +128,7 @@ def _plan(m: int, a: int, x: int) -> tuple:
     return sign, m, value, phases, ks, h, _sum_bits(m, x)
 
 
-def explicit_cost_ns(m: int, x: int) -> int:
+def explicit_cost_ns(m: int, a: int, x: int) -> int:
     """Predicted time of newman_sum_explicit(m, a, x), from the levels, set
     bits and periods of its _plan.  A pass steps about m/2 values of t per
     level, counted twice, since each product is also reduced mod the pass's
@@ -139,8 +139,8 @@ def explicit_cost_ns(m: int, x: int) -> int:
     Each prime carries at least PRIME_BITS - 1 bits, which bounds the
     passes.  A plan with no phase runs no pass and costs nothing.
     """
-    _check_query(m, 0, x)
-    _, m, _, phases, ks, h, bits = _plan(m, 0, x)
+    _check_query(m, a, x)
+    _, m, _, phases, ks, h, bits = _plan(m, a, x)
     if not phases:
         return 0
     levels, ones = len(phases), sum(map(len, phases))

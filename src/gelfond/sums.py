@@ -179,12 +179,13 @@ def _set_bits(m: int, x: int) -> list[tuple[int, int, int]]:
     out = []
     p = x % m
     sign = -1 if x.bit_count() & 1 else 1
-    while x:
-        i = (x & -x).bit_length() - 1
-        x &= x - 1
+    bits = bin(x)[:1:-1]    # bit i at index i, found in one linear pass over x
+    i = bits.find("1")
+    while i >= 0:
         p = (p - pow(2, i, m)) % m
         sign = -sign
         out.append((i, p, sign))
+        i = bits.find("1", i + 1)
     return out
 
 

@@ -263,13 +263,14 @@ def test_profile_cost_guard(capsys, monkeypatch):
 def test_explicit_cost_guard(capsys, monkeypatch):
     # README's `sum 17 0 131072 --method all` and every explicit sum of the
     # benchmark's CLI session (m < 40, x < 2^20) are accepted
-    assert spectral.explicit_cost_ns(17, 131072) <= cli.MAX_PREDICTED_NS
-    assert max(spectral.explicit_cost_ns(m, (1 << 20) - 1) for m in range(1, 41)) <= cli.MAX_PREDICTED_NS
+    assert spectral.explicit_cost_ns(17, 0, 131072) <= cli.MAX_PREDICTED_NS
+    assert max(spectral.explicit_cost_ns(m, a, (1 << 20) - 1)
+               for m in range(1, 41) for a in range(m)) <= cli.MAX_PREDICTED_NS
     # at the bound: 17 with 7810 one-bits predicts 0.963 s, and one more bit,
     # whose primes take one more pass, 1.023 s
     at_bound, past_bound = (1 << 7810) - 1, (1 << 7811) - 1
-    assert spectral.explicit_cost_ns(17, at_bound) <= cli.MAX_PREDICTED_NS
-    assert spectral.explicit_cost_ns(17, past_bound) > cli.MAX_PREDICTED_NS
+    assert spectral.explicit_cost_ns(17, 3, at_bound) <= cli.MAX_PREDICTED_NS
+    assert spectral.explicit_cost_ns(17, 5, past_bound) > cli.MAX_PREDICTED_NS
     env = run_json(capsys, "sum", "17", "3", str(at_bound), "--method", "explicit")
     assert env["result"]["value"] == str(newman_sum_dp(17, 3, at_bound))  # 4944 bits
 
@@ -299,9 +300,21 @@ def test_explicit_cost_guard_reads_the_route_plan(capsys, monkeypatch):
 
     monkeypatch.setattr(spectral, "_orbits", no_pass)
     monkeypatch.setattr(spectral, "crt_passes", no_pass)
-    assert spectral.explicit_cost_ns(300001, 1) == 0
+    assert spectral.explicit_cost_ns(300001, 0, 1) == 0
     env = run_json(capsys, "sum", "300001", "0", "1", "--method", "explicit")
     assert env["result"]["value"] == 1
+
+    # the plan folds x with the query's residue: at m = 510 = 2 * 255 and
+    # a = 1 the pad is 0, so 2^14266 - 1 (4295 digits) folds to 2^14265 - 1,
+    # 8 levels and 14265 set bits (36 s predicted), while a = 0 would pad it
+    # to the one set bit of 2^14265; likewise m = 34 = 2 * 17 (3.3 s)
+    x = (1 << 14266) - 1
+    assert spectral.explicit_cost_ns(510, 0, x) <= cli.MAX_PREDICTED_NS
+    for m, method in (("510", "explicit"), ("510", "all"), ("34", "explicit")):
+        code, out, err = run_cli(capsys, "sum", m, "1", str(x), "--method", method)
+        assert code == 2, (m, method)
+        assert out == ""
+        assert "predicted explicit-sum time" in err
 
 
 def test_empirical_validates_input_before_the_cost_model(capsys, monkeypatch):

@@ -100,7 +100,7 @@ def test_explicit_passes_group_the_split_primes(monkeypatch):
 def test_explicit_cost_counts_the_levels_the_route_steps():
     # ord_1001(2) = 60: the one set bit of 2^14040 lies in phase 0, so the
     # route steps no level, and that of 2^14039 in phase 59, so it steps 60
-    assert spectral.explicit_cost_ns(1001, 1 << 14040) < spectral.explicit_cost_ns(1001, 1 << 14039) / 5
+    assert spectral.explicit_cost_ns(1001, 0, 1 << 14040) < spectral.explicit_cost_ns(1001, 0, 1 << 14039) / 5
 
 
 def test_plan_reads_h_only_where_the_cut_walk_reaches_it():
