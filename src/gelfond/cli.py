@@ -22,22 +22,20 @@ from . import exponent as expo
 SCHEMA_VERSION = "1"
 BIG_INT = 1 << 53
 
-#: Largest number of DP cells that `sum` (dp, all) and `counts` accept: the
-#: odd part m' of m times the levels of the folded x (sums._odd_query), each
-#: an addition of integers of at most bit_length(x) bits, with O(m') of them
-#: live (about 0.6 m' per level on the half-state pass of odd m' >= 65).  At
-#: this bound a query took 4.8 s and 19 MiB at m = 1173 with a 4300-digit x
-#: (the longest the CLI parses), and 0.5 s and 143 MiB at m = 2^23 - 1 with a
-#: 2-bit x, on a 2-CPU Xeon with Python 3.11; the full-vector pass took 8.8 s
-#: and 21 MiB, and 0.8 s and 207 MiB.
-MAX_DP_WORK = 1 << 24
-#: Largest predicted time that `empirical` (empirical.profile_cost_ns) and
-#: `sum --method explicit|all` (spectral.explicit_cost_ns) accept.  Every
-#: max_exp <= 32 predicts at most 0.08 s for any m.  At this bound a profile
-#: took at most 1.1 s and 25 MiB (m = 6510 at max_exp = 256, m = 41666 at
-#: max_exp = 40), its remainder scan under 0.02 s for every m, and an
-#: explicit sum at m = 17 with a 7810-bit x of all ones 0.89-0.96 s, on the
-#: same machine.
+#: Largest predicted time that a route accepts: the digit DP of `sum
+#: --method dp|all` and `counts` (sums.dp_cost_ns), the explicit sum of `sum
+#: --method explicit|all` (spectral.explicit_cost_ns), the profile of
+#: `empirical` (empirical.profile_cost_ns) and the three passes of
+#: `recurrence` (recurrence.recurrence_cost_ns).  Every max_exp <= 32
+#: predicts at most 0.08 s for any m.  At this bound, on a 2-CPU Xeon with
+#: Python 3.11: a profile took at most 1.1 s and 25 MiB (m = 6510 at max_exp
+#: = 256, m = 41666 at max_exp = 40), its remainder scan under 0.02 s for
+#: every m; an explicit sum at m = 17 with a 7810-bit x of all ones
+#: 0.89-0.96 s; a digit DP 0.85 s and 354 MiB at m' = 22222131 with a
+#: 2-bit x, where O(m') integers are live (the whole `counts` process).
+#: Past it, m = 1173 with the 4300-digit x = 10^4300 - 1 has only 1173 *
+#: 14285 cells, but its integers widen to about 11000 bits: refused at
+#: 1.94 s predicted, it ran 2.2-2.6 s and 19 MiB.
 MAX_PREDICTED_NS = 10**9
 #: Largest `scan --max` accepted.  The scan's least-factor sieve takes
 #: O(limit) time and memory; at this bound a scan took 0.85-1.1 s and about
@@ -105,6 +103,12 @@ def _check_limit(value: int, limit: int, message: str) -> None:
         raise ValueError(message.format(value=value, limit=limit))
 
 
+def _check_time(route: str, predicted_ns: int) -> None:
+    """Refuse a route whose predicted time exceeds MAX_PREDICTED_NS."""
+    _check_limit(predicted_ns, MAX_PREDICTED_NS,
+                 f"predicted {route} time {{value}} ns exceeds the limit {{limit}} ns")
+
+
 def _cmd_cosets(args):
     dec = cosets.cyclotomic_cosets(args.m)
     result = {k: getattr(dec, k) for k in ("m", "r", "h", "ord2", "representatives", "sizes")}
@@ -138,14 +142,16 @@ def _cmd_alpha(args):
     return result
 
 
-def _dp_cells(m: int, a: int, x: int) -> int:
-    """The digit DP's cells: m' times the levels of the folded x (see MAX_DP_WORK)."""
-    _, odd, _, k, pad = sums._odd_query(m, a)  # m, a checked by the caller
-    return odd * ((x + pad) >> k).bit_length()
+def _dp_time(m: int, a: int, x: int) -> int:
+    """sums.dp_cost_ns at the rate alpha(m') where that decides the refusal,
+    else at rate 1.  The O(m') orbit walk of alpha runs only where rate 1
+    refuses, rate 0 accepts and the growth is a fifth of the price or more,
+    which takes L > 1000 levels and so m' < 3.2 * 10^4."""
+    ns, flat = sums.dp_cost_ns(m, a, x), sums.dp_cost_ns(m, a, x, 0)
+    if flat <= MAX_PREDICTED_NS < ns and 4 * ns >= 5 * flat:
+        ns = sums.dp_cost_ns(m, a, x, expo._alpha_value(m))
+    return ns
 
-
-_DP_LIMIT = ("odd part of m times the bit length of the folded x = {value} "
-             "exceeds the digit-DP limit {limit}")
 
 #: The routes of `sum`, each read from its layer at call time, so that only
 #: the layers of the routes asked for run.
@@ -160,10 +166,9 @@ def _cmd_sum(args):
     m, a, x, method = args.m, args.a, args.x, args.method
     sums._check_query(m, a, x)
     if method in ("dp", "all"):
-        _check_limit(_dp_cells(m, a, x), MAX_DP_WORK, _DP_LIMIT)
+        _check_time("digit-DP", _dp_time(m, a, x))
     if method in ("explicit", "all"):
-        _check_limit(spectral.explicit_cost_ns(m, a, x), MAX_PREDICTED_NS,
-                     "predicted explicit-sum time {value} ns exceeds the limit {limit} ns")
+        _check_time("explicit-sum", spectral.explicit_cost_ns(m, a, x))
     skipped = ["enumerate"] if method == "all" and x > sums.ENUMERATION_CAP else []
     methods = {name: route(m, a, x) for name, route in _SUM_ROUTES.items()
                if method in (name, "all") and name not in skipped}
@@ -181,7 +186,7 @@ def _cmd_sum(args):
 def _cmd_counts(args):
     m, a, x = args.m, args.a, args.x
     sums._check_query(m, a, x)
-    _check_limit(_dp_cells(m, a, x), MAX_DP_WORK, _DP_LIMIT)
+    _check_time("digit-DP", _dp_time(m, a, x))
     t_even, t_odd = sums.parity_counts(m, a, x)
     return {
         "m": m,
@@ -197,7 +202,10 @@ def _cmd_counts(args):
 
 
 def _cmd_recurrence(args):
-    spec = recurrence.coefficients_spectral(cosets.cyclotomic_cosets(args.m))
+    dec = cosets.cyclotomic_cosets(args.m)
+    _check_time("recurrence", recurrence.recurrence_cost_ns(dec, args.a, args.depth,
+                                                             args.multipliers))
+    spec = recurrence.coefficients_spectral(dec)
     result = spec._asdict()
     try:
         from_sums = recurrence.coefficients_from_sums(args.m, args.a).coefficients
@@ -266,8 +274,7 @@ def _table_csv(result):
 
 def _cmd_empirical(args):
     sums._check_query(args.m, args.a, 0)
-    _check_limit(emp.profile_cost_ns(args.m, args.max_exp), MAX_PREDICTED_NS,
-                 "predicted profile time {value} ns exceeds the limit {limit} ns")
+    _check_time("profile", emp.profile_cost_ns(args.m, args.max_exp))
     profile = emp.dyadic_profile(args.m, args.a, args.max_exp)
     exponent = expo._alpha_value(args.m)
     remainder = emp.gelfond_remainder_check(

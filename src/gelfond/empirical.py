@@ -22,25 +22,22 @@ from typing import NamedTuple
 
 from .cosets import _orbit
 from .exponent import LAMBDA
-from .sums import _check_query, _class_count, _levels, _odd_part, dyadic_sums
+from .sums import _check_query, _class_count, _levels, _odd_part, dp_cost_ns, dyadic_sums
 
 #: Profiles are capped here; every float of the fit and envelope stays finite.
 PROFILE_MAX_EXP = 256
 #: Remainder-ratio scans sample x = 2^nu only, capped here.
 REMAINDER_MAX_EXP = 28
 #: Measured cost in ns of one step of each exact route (2-CPU Xeon, Python
-#: 3.11): a (residue, level) cell of the max-plus DP from depth 40 on, a
-#: cell of the signed digit DP per class of the odd part of m, and one class
-#: member visited by the walk.  Max-plus cells are cheaper at shallow depths
-#: (_maxplus_ns): timing the two profile routes against each other put
-#: their crossovers at m = 150, 620, 2200 and 8500-9300 for depths 20, 24,
-#: 28 and 32, where a cell costs about two walk steps, so half of
+#: 3.11): a (residue, level) cell of the max-plus DP from depth 40 on, and
+#: one class member visited by the walk.  Max-plus cells are cheaper at
+#: shallow depths (_maxplus_ns): timing the two profile routes against each
+#: other put their crossovers at m = 150, 620, 2200 and 8500-9300 for depths
+#: 20, 24, 28 and 32, where a cell costs about two walk steps, so half of
 #: MAXPLUS_CELL_NS.  Where the refusal bound of deep profiles sits, cells
-#: took 580 ns at (m, nu) = (6510, 256) and 576 ns at (41666, 40).  Digit
-#: cells were timed at depth 28 on the half-state pass that odd parts from
-#: 65 on take, at about half the full pass's cost.
+#: took 580 ns at (m, nu) = (6510, 256) and 576 ns at (41666, 40).  The
+#: remainder scan prices its digit DP with sums.dp_cost_ns.
 MAXPLUS_CELL_NS = 600
-DIGIT_CELL_NS = 30
 WALK_STEP_NS = 150
 
 
@@ -265,14 +262,14 @@ def gelfond_remainder_check(m: int, a: int, max_exp: int) -> RemainderCheck:
 
     The numerator is computed exactly as |2m*t_even - x| / (2m), with
     t_even = (count + S(m, a, 2^nu)) / 2, the S read from one dyadic_sums
-    pass (which runs on the odd part of m) or, when it is cheaper (large
-    odd part), from the class walk.  A ratio
+    pass (which runs on the odd part of m) or, when it is cheaper by
+    sums.dp_cost_ns (large odd part), from the class walk.  A ratio
     that keeps growing across the top blocks would contradict the remainder
     bound; that situation is flagged, not silently accepted.
     """
     _check_query(m, a, 1)
     _check_max_exp(max_exp, REMAINDER_MAX_EXP)
-    if DIGIT_CELL_NS * _odd_part(m) * max_exp <= WALK_STEP_NS * _walk_steps(m, max_exp):
+    if dp_cost_ns(m, a, 1 << max_exp) <= WALK_STEP_NS * _walk_steps(m, max_exp):
         levels = dyadic_sums(m, a, max_exp)
     else:
         levels = _walk_profile(m, a, max_exp)[1]

@@ -137,6 +137,22 @@ def split_primes(m: int, bits: int) -> tuple[tuple[int, int], ...]:
 PASS_PRIMES = 8
 
 
+#: Time of split_primes' first search for one prime: its candidates k m + 1,
+#: their Miller-Rabin tests and its root w, about 0.15 ms a prime on a 2-CPU
+#: Xeon with Python 3.11.7 (30-40 ms for the 231 primes of a 14k-bit sum).
+SEARCH_NS = 150_000
+
+
+def crt_cost(m: int, bits: int) -> tuple[int, int]:
+    """(passes, ns) of crt_passes(m, bits, ...) before any evaluation: its
+    number of passes, each prime carrying at least PRIME_BITS - 1 bits, and
+    the predicted time of the search for the primes not yet remembered for
+    m, SEARCH_NS each."""
+    primes = bits // (PRIME_BITS - 1) + 1
+    searched = primes - len(_FOUND.get(m, ((), 0))[0])
+    return -(-primes // PASS_PRIMES), SEARCH_NS * max(searched, 0)
+
+
 def crt_passes(m: int, bits: int, evaluate: Callable[[int, list], list]) -> list[int]:
     """The integers V_i, |V_i| < 2^(bits-1), of an identity in e^{2 pi i/m},
     from evaluate(M, powers), which returns each V_i mod M.

@@ -21,13 +21,25 @@ defect 0.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 from math import gcd
 from typing import NamedTuple
 
 from .cosets import CosetDecomposition, _effective_roots_mod, cyclotomic_cosets
-from .modular import crt_passes
-from .sums import _check_query, _dyadic_stream, _sums_in_one_pass
+from .modular import crt_cost, crt_passes
+from .sums import _check_query, _dp_pass_ns, _dyadic_stream, _sums_in_one_pass
+
+#: The time model of recurrence_cost_ns, measured on a 2-CPU Xeon with Python
+#: 3.11.7.  One product mod a pass's modulus in coefficients_spectral took
+#: 1000-1650 ns at m from 243 to 9999 (1391-1557 ns at m = 4095, 5461, 8191
+#: and 9999, 0.97-5.7 s).  Berlekamp-Massey on phase 0 took 0.6-1.7 times
+#: r^4 L^2 / BM_SCALE ns where the phase has order r (m = 511, 683, 889,
+#: 1025, 1057, 1161, 1985), and a phase of lower order less.  The kept sums
+#: of verify_recurrence, read out of the pass and checked: 0.48 s and 1.1 s
+#: past the DP's price at m = 3, depth 50000 and 70694.
+SPECTRAL_STEP_NS = 1400
+BM_SCALE = 40_000
+SUM_BITS_PER_NS = 4
 
 
 class SingularSystemError(ArithmeticError):
@@ -146,6 +158,41 @@ def coefficients_from_sums(m: int, a: int) -> RecurrenceSpec:
     )
 
 
+def _check_verification(m: int, a: int, depth: int, multipliers) -> None:
+    _check_query(m, a, 0)
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    for u in multipliers:
+        if u < 1:
+            raise ValueError(f"multipliers must be positive, got {u}")
+
+
+def recurrence_cost_ns(dec: CosetDecomposition, a: int, depth: int = 8,
+                       multipliers: tuple[int, ...] = (1, 3, 5)) -> int:
+    """Predicted time of coefficients_spectral(dec), coefficients_from_sums(m, a)
+    and verify_recurrence(spec, a, depth, multipliers), checking their input.
+
+    The spectral expansion costs, per pass of modular.crt_cost, about 2m
+    products for the powers and the Z_j and r^2 / 2 for the polynomial,
+    SPECTRAL_STEP_NS each, plus the prime search.  coefficients_from_sums
+    runs the digit DP over the L = (2r - 1) h + 2 levels of phase 0
+    (sums.dp_cost_ns, at one bit a level) and Berlekamp-Massey on its 2r
+    terms of at most L bits: about r^2 updates of integers of up to r L
+    bits, r^4 L^2 / BM_SCALE ns.  A singular system tries up to h phases,
+    each of lower order and so cheaper, but not priced here.
+    verify_recurrence is one DP pass to its largest x, and it
+    keeps each S(m, a, 2^n), n <= depth + r h + 1, of up to n bits: about
+    n^2 / SUM_BITS_PER_NS ns in all for n levels."""
+    m, r, h = dec.m, dec.r, dec.h
+    _check_verification(m, a, depth, multipliers)
+    passes, search_ns = crt_cost(m, r * (h + 1) + 1)
+    levels = (2 * r - 1) * h + 2
+    top = max(depth + 1, max(multipliers, default=0).bit_length()) + r * h + 1
+    return (SPECTRAL_STEP_NS * passes * (2 * m + r * r // 2) + search_ns
+            + _dp_pass_ns(m, levels) + r**4 * levels**2 // BM_SCALE
+            + _dp_pass_ns(m, top) + top * top // SUM_BITS_PER_NS)
+
+
 def verify_recurrence(
     spec: RecurrenceSpec,
     a: int,
@@ -158,18 +205,13 @@ def verify_recurrence(
     defect raises RecurrenceDefectError naming the offending instance.  All
     the sums come from one pass of the signed digit DP.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
     m, r, h = spec.m, spec.r, spec.h
-    _check_query(m, a, 0)
-    for u in multipliers:
-        if u < 1:
-            raise ValueError(f"multipliers must be positive, got {u}")
+    _check_verification(m, a, depth, multipliers)
     # S at 2^(n+k) and at 2^k * u for k = (r-q)h + 1, q = 0..r: one DP pass
     ks = [(r - q) * h + 1 for q in range(r + 1)]
     top = depth + r * h + 1
-    xs = [1 << n for n in range(top + 1)] + [u << k for u in multipliers for k in ks]
-    values = _sums_in_one_pass(m, a, xs)
+    values = _sums_in_one_pass(m, a, chain((1 << n for n in range(top + 1)),
+                                           (u << k for u in multipliers for k in ks)))
     seq, scaled = values[: top + 1], values[top + 1 :]
     weights = (1, *spec.coefficients)
     identities = [(f"offset identity fails at n={n}", [seq[n + k] for k in ks])

@@ -29,16 +29,17 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .cosets import _effective_roots_mod, _orbits
-from .modular import PASS_PRIMES, PRIME_BITS, crt_passes
+from .modular import crt_cost, crt_passes
 from .sums import _check_query, _odd_query, _set_bits
 
 #: Time of one product of the modular character sum mod one pass's modulus,
 #: its list and index work included.  Up to modular.PASS_PRIMES primes a
 #: product costs about the same, so explicit_cost_ns counts products per
 #: pass.  Random queries with m up to 10^5 and x up to 14265 bits, predicted
-#: at 0.1-1.5 s, ran in 0.3-1.4 times the prediction on their first call,
-#: its prime search included, on a 2-CPU Xeon with Python 3.11.7 (about 1.5
-#: times slower when the host is in its slow state).
+#: at 0.1-1.5 s before the prime search was priced (modular.crt_cost), ran
+#: in 0.3-1.4 times the prediction on their first call, that search
+#: included, on a 2-CPU Xeon with Python 3.11.7 (about 1.5 times slower when
+#: the host is in its slow state).
 EXPLICIT_STEP_NS = 500
 
 
@@ -136,17 +137,17 @@ def explicit_cost_ns(m: int, a: int, x: int) -> int:
     kept, which the model puts at m/h + 1, and each period's Z_j^k one per
     orbit.  Each level and set bit also pays about four products of fixed
     overhead, and the power table, the orbits and the Z_j about four m.
-    Each prime carries at least PRIME_BITS - 1 bits, which bounds the
-    passes.  A plan with no phase runs no pass and costs nothing.
+    The passes and the first call's prime search are modular.crt_cost's.
+    A plan with no phase runs no pass and costs nothing.
     """
     _check_query(m, a, x)
     _, m, _, phases, ks, h, bits = _plan(m, a, x)
     if not phases:
         return 0
     levels, ones = len(phases), sum(map(len, phases))
-    primes = bits // (PRIME_BITS - 1) + 1
     products = (m // 2 + 4) * (2 * levels + ones) + (m // h + 1) * (ones + len(ks)) + 4 * m
-    return EXPLICIT_STEP_NS * products * -(-primes // PASS_PRIMES)
+    passes, search_ns = crt_cost(m, bits)
+    return EXPLICIT_STEP_NS * products * passes + search_ns
 
 
 def newman_sum_explicit(m: int, a: int, x: int) -> int:

@@ -32,7 +32,8 @@ the remainder check).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+import sys
+from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
 from operator import add, neg, sub
 from typing import NamedTuple
@@ -45,6 +46,20 @@ ENUMERATION_CAP = 1 << 26
 #: the half pass took 0.85-0.93 of the full pass's time at m' = 65-121 and
 #: 0.58-0.65 at m' = 1001-4001.
 _HALF_PASS_MIN = 65
+#: The digit DP's price in ns (dp_cost_ns): DP_LEVEL_NS a level, and per
+#: class kept at a level DP_CLASS_NS while the integers fit one digit of int
+#: (the first _DIGIT_BITS levels), DP_WIDE_CLASS_NS after, plus 1 ns per
+#: DP_WIDTH_BITS bits of the widest integer.  Fit on a 2-CPU Xeon with
+#: Python 3.11.7 so that passes near 1 s are not over-predicted: runs took
+#: 0.91-1.27 times the price at rate alpha(m') for m' >= 1000 at 0.6-1.6 s,
+#: and up to 1.7 times at m' = 45-67.  A class costs 37-48 ns on the first
+#: levels, 60-75 ns after where alpha(m') is near 0 (m' = 1019, 10007), and
+#: up to 300 ns at 14285 levels where it is 0.79 (m' = 1173).
+DP_LEVEL_NS = 2000
+DP_CLASS_NS = 45
+DP_WIDE_CLASS_NS = 62
+DP_WIDTH_BITS = 68
+_DIGIT_BITS = sys.int_info.bits_per_digit
 
 
 class EnumerationCapError(ValueError):
@@ -176,6 +191,8 @@ def _set_bits(m: int, x: int) -> list[tuple[int, int, int]]:
     t < 2^i, so S(m, a, x) = sum of (-1)^s(P) D_i[(a - P) mod m] (the DP),
     and the character sum reads the phase (P - a) mod m of the same blocks.
     """
+    if not x & (x - 1):     # 0 or a power of two: no string to scan
+        return [(x.bit_length() - 1, 0, 1)] if x else []
     out = []
     p = x % m
     sign = -1 if x.bit_count() & 1 else 1
@@ -189,20 +206,44 @@ def _set_bits(m: int, x: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _sums_in_one_pass(m: int, a: int, xs: list[int]) -> list[int]:
+def _sums_in_one_pass(m: int, a: int, xs: Iterable[int]) -> list[int]:
     """[S(m, a, x) for x in xs] from a single pass of the signed DP over the
-    m' classes and the levels of (x + pad) >> k of _odd_query."""
+    m' classes and the levels of (x + pad) >> k of _odd_query (dp_cost_ns
+    prices it at the largest x).  Only the set bits of each folded x are
+    kept, so xs may be a generator of many long x."""
     sign, m, a, k, pad = _odd_query(m, a)
-    xs = [(x + pad) >> k for x in xs]
-    wanted = [[] for _ in range(max((x.bit_length() for x in xs), default=0))]
-    for j, x in enumerate(xs):
-        for i, p, s in _set_bits(m, x):
+    splits = [_set_bits(m, (x + pad) >> k) for x in xs]
+    wanted = [[] for _ in range(max((bits[-1][0] + 1 for bits in splits if bits), default=0))]
+    for j, bits in enumerate(splits):
+        for i, p, s in bits:
             wanted[i].append((j, (a - p) % m, sign * s))
-    out = [0] * len(xs)
+    out = [0] * len(splits)
     for terms, d in zip(wanted, _level_reads(m)):
         for j, c, s in terms:
             out[j] += s * d(c)
     return out
+
+
+def dp_cost_ns(m: int, a: int, x: int, rate: float = 1.0) -> int:
+    """Predicted time in ns of the digit DP for S(m, a, x), the pass of
+    _sums_in_one_pass: L levels, the bit length of (x + pad) >> k of
+    _odd_query, each keeping the m' classes of _levels below _HALF_PASS_MIN
+    and the (m' + 1) / 2 of _half_levels from there on.  Its integers gain
+    at most `rate` bits a level: 1 for every m, since |D_i| <= 2^i, and
+    alpha(m') in the limit (exponent._alpha_value), which is much less for
+    some m' (0.0098 at m' = 1019, 0.79 at 1173)."""
+    _check_query(m, a, x)
+    _, m, _, k, pad = _odd_query(m, a)
+    return _dp_pass_ns(m, ((x + pad) >> k).bit_length(), rate)
+
+
+def _dp_pass_ns(m: int, levels: int, rate: float = 1.0) -> int:
+    """dp_cost_ns of a pass over `levels` levels for an odd m."""
+    kept = m if m < _HALF_PASS_MIN else (m + 1) // 2
+    narrow = min(levels, _DIGIT_BITS)
+    cell_ns = DP_CLASS_NS * narrow + DP_WIDE_CLASS_NS * (levels - narrow)
+    num, den = float(rate).as_integer_ratio()
+    return levels * DP_LEVEL_NS + kept * (cell_ns + levels * levels * num // (den * DP_WIDTH_BITS))
 
 
 def newman_sum_dp(m: int, a: int, x: int) -> int:

@@ -164,8 +164,9 @@ def test_sum_all_skips_enumerate_past_cap(capsys):
 
 def test_dp_work_guard_refuses_before_any_dp(capsys, monkeypatch):
     x = 3**5000
-    assert 10007 * x.bit_length() > cli.MAX_DP_WORK
-    # the bound is on m * bit_length(x): the same x passes with a small m
+    assert sums.dp_cost_ns(10007, 5, x, 0) > cli.MAX_PREDICTED_NS
+    # the price grows with m': the same x passes with a small m
+    assert sums.dp_cost_ns(3, 2, x) <= cli.MAX_PREDICTED_NS
     env = run_json(capsys, "sum", "3", "2", str(x), "--method", "dp")
     assert int(env["result"]["value"]) == newman_sum_dp(3, 2, x)
 
@@ -180,44 +181,107 @@ def test_dp_work_guard_refuses_before_any_dp(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
-        assert "digit-DP limit" in err
+        assert "predicted digit-DP time" in err
 
 
 def test_dp_work_guard_counts_the_folded_cells(capsys):
-    # the DP runs on the odd part of m with x >> v2(m): 2^20 * 100 cells by
-    # the unfolded count, 1 * 80 folded, so this query is no longer refused
+    # the DP runs on the odd part of m with x >> v2(m): 2^20 classes of 100
+    # levels unfolded, 1 class of 80 levels folded, so this query is priced
+    # as the folded one
     m, x = 1 << 20, (1 << 99) + 12345
-    assert m * x.bit_length() > cli.MAX_DP_WORK
+    assert sums.dp_cost_ns(m + 1, 5, x, 0) > cli.MAX_PREDICTED_NS
+    assert sums.dp_cost_ns(m, 5, x) == sums.dp_cost_ns(1, 0, (x + m - 6) >> 20) < 10**6
     env = run_json(capsys, "counts", str(m), "5", str(x))
     t_even, t_odd = parity_counts(m, 5, x)
     assert (int(env["result"]["t_even"]), int(env["result"]["t_odd"])) == (t_even, t_odd)
     assert t_even + t_odd == (x - 5 + m - 1) // m
     env = run_json(capsys, "sum", str(3 << 20), "5", str(x), "--method", "dp")
     assert int(env["result"]["value"]) == newman_sum_explicit(3 << 20, 5, x)
-    # the folded count still refuses an odd part that is too large
+    # the folded price still refuses an odd part that is too large
     code, out, err = run_cli(capsys, "sum", str(10007 << 3), "5", str(3**5000), "--method", "dp")
-    assert code == 2 and out == "" and "digit-DP limit" in err
+    assert code == 2 and out == "" and "predicted digit-DP time" in err
 
 
 def test_dp_work_guard_counts_the_levels_the_dp_runs(capsys, monkeypatch):
-    # 8194 = 2 * 4097 at a = 0 pads x by 1 before the fold, so the DP runs
-    # 2^4095, 4096 levels of 4097 cells, past 2^24; x >> 1 alone has 4095
-    # levels, 2^24 - 1 cells, and at a = 1 the pad is 0 and so is the excess
-    x = (1 << 4096) - 1
-    assert 4097 * (x >> 1).bit_length() <= cli.MAX_DP_WORK < 4097 * 4096
-    assert cli._dp_cells(8194, 0, x) == 4097 * 4096
-    assert cli._dp_cells(8194, 1, x) == 4097 * 4095
+    # m = 2 m', m' = 2249999, at a = 0 pads x = 2^20 - 1 by 1 before the
+    # fold, so the DP runs 2^19, 20 levels of 1125000 classes, 1.02 s
+    # predicted; x >> 1 alone has 19 levels, 0.97 s, and at a = 1 the pad is
+    # 0 and so is the excess
+    odd, x = 2249999, (1 << 20) - 1
+    assert sums.dp_cost_ns(2 * odd, 0, x) == sums.dp_cost_ns(odd, 0, 1 << 19)
+    assert sums.dp_cost_ns(2 * odd, 1, x) == sums.dp_cost_ns(odd, 0, x >> 1)
+    assert sums.dp_cost_ns(odd, 0, x >> 1) <= cli.MAX_PREDICTED_NS < sums.dp_cost_ns(odd, 0, 1 << 19)
 
     def no_dp(*args):
         raise AssertionError("the DP must not start")
 
     monkeypatch.setattr(sums, "newman_sum_dp", no_dp)
     monkeypatch.setattr(sums, "parity_counts", no_dp)
-    for argv in (("sum", "8194", "0", str(x)), ("counts", "8194", "0", str(x))):
+    for argv in (("sum", str(2 * odd), "0", str(x)), ("counts", str(2 * odd), "0", str(x))):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
-        assert "digit-DP limit" in err
+        assert "predicted digit-DP time" in err
+
+
+def test_dp_price_reads_the_width_of_the_integers(capsys, monkeypatch):
+    # 1173 * 14285 cells fit the old cell bound, but alpha(1173) = 0.79 makes
+    # the integers about 11000 bits wide: 1.94 s predicted, 2.2-2.6 s run;
+    # m = 255 with the same x is accepted (0.53 s predicted, 0.49-0.65 s run)
+    x = 10**4300 - 1
+    assert 1173 * x.bit_length() <= 1 << 24
+    env = run_json(capsys, "sum", "255", "5", str(x))
+    assert list(env["result"]["methods"]) == ["dp"]
+
+    walks = []
+    alpha_value = expo._alpha_value
+    monkeypatch.setattr(expo, "_alpha_value", lambda m: walks.append(m) or alpha_value(m))
+
+    def no_dp(*args):
+        raise AssertionError("the DP must not start")
+
+    monkeypatch.setattr(sums, "newman_sum_dp", no_dp)
+    monkeypatch.setattr(sums, "parity_counts", no_dp)
+    for argv in (("sum", "1173", "5", str(x)), ("sum", "1173", "5", str(x), "--method", "all"),
+                 ("counts", "1173", "5", str(x))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "predicted digit-DP time" in err
+    # the orbit walk runs only where the growth decides: not for a flat
+    # refusal, whose m' may be huge
+    assert walks == [1173, 1173, 1173]
+    code, _, _ = run_cli(capsys, "counts", str(2**40 + 1), "5", "3")
+    assert code == 2 and walks == [1173, 1173, 1173]
+
+
+def test_recurrence_guard_refuses_before_any_pass(capsys, monkeypatch):
+    # README's, CI's and the benchmark's recurrence calls are accepted
+    from gelfond import recurrence
+
+    for m, a, depth, multipliers in ((17, 0, 12, (1, 3, 5, 7)), (243, 0, 2, (1, 3)),
+                                     (683, 0, 2, (1,)), (17, 0, 8, (1, 3, 5)),
+                                     (15, 0, 8, (1, 3, 5)), (23, 22, 6, (1, 3)),
+                                     (41, 40, 6, (1, 3)), (47, 46, 6, (1, 3))):
+        dec = cosets.cyclotomic_cosets(m)
+        assert recurrence.recurrence_cost_ns(dec, a, depth, multipliers) <= cli.MAX_PREDICTED_NS, m
+
+    def no_pass(*args):
+        raise AssertionError("no pass may start")
+
+    for name in ("crt_passes", "_dyadic_stream", "_sums_in_one_pass"):
+        monkeypatch.setattr(recurrence, name, no_pass)
+    # --depth 100000: the verify pass over 100017 levels; m = 8191: 19
+    # split-prime passes (5.7 s) and Berlekamp-Massey at r = 630; m = 1023:
+    # Berlekamp-Massey on its 10 singular phases ran 2.9 s
+    for argv in (("17", "--depth", "100000"), ("8191",), ("1023",)):
+        code, out, err = run_cli(capsys, "recurrence", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "predicted recurrence time" in err
+    # the input is checked before it is priced
+    code, _, err = run_cli(capsys, "recurrence", "17", "--depth", "-5")
+    assert code == 2 and "depth must be >= 1" in err
 
 
 def test_sum_all_folds_an_even_modulus_past_the_enumeration_cap(capsys):

@@ -247,3 +247,18 @@ def test_dominant_magnitude_matches_sine_form():
                 u = 2 * u % m
             best = max(best, 2 * prod ** (1 / dec.h))
         assert 2**alpha(m).log2_v == pytest.approx(best, rel=1e-12)
+
+
+def test_explicit_cost_prices_the_first_prime_search(monkeypatch):
+    # m' = 107 of 1712 = 16 * 107 needs 227 split primes at 2^14069: a first
+    # call searches them (about 0.15 ms each), a later one reads them back
+    m, x = 1712, 1 << 14069
+    monkeypatch.setattr(modular, "_FOUND", {})
+    first = spectral.explicit_cost_ns(m, 0, x)
+    bits = spectral._plan(m, 0, x)[-1]
+    primes = modular.split_primes(107, bits)
+    assert len(primes) == 227
+    later = spectral.explicit_cost_ns(m, 0, x)
+    assert first - later == modular.SEARCH_NS * len(primes)
+    del modular._FOUND[107]
+    assert spectral.explicit_cost_ns(m, 0, x) == first
