@@ -50,7 +50,6 @@ _PUBLIC = {
         "alpha_for_rep",
     ),
     "recurrence": (
-        "NonIntegerCoefficientError",
         "RecurrenceDefectError",
         "RecurrenceSpec",
         "SingularSystemError",

@@ -21,25 +21,28 @@ defect 0.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from collections import deque
+from itertools import islice
 from math import gcd
 from typing import NamedTuple
 
 from .cosets import CosetDecomposition, _effective_roots_mod, cyclotomic_cosets
 from .modular import crt_cost, crt_passes
-from .sums import _check_query, _dp_pass_ns, _dyadic_stream, _sums_in_one_pass
+from .sums import _DIGIT_BITS, _check_query, _dp_pass_ns, _dyadic_stream, _sums_in_one_pass
 
 #: The time model of recurrence_cost_ns, measured on a 2-CPU Xeon with Python
 #: 3.11.7.  One product mod a pass's modulus in coefficients_spectral took
 #: 1000-1650 ns at m from 243 to 9999 (1391-1557 ns at m = 4095, 5461, 8191
 #: and 9999, 0.97-5.7 s).  Berlekamp-Massey on phase 0 took 0.6-1.7 times
 #: r^4 L^2 / BM_SCALE ns where the phase has order r (m = 511, 683, 889,
-#: 1025, 1057, 1161, 1985), and a phase of lower order less.  The kept sums
-#: of verify_recurrence, read out of the pass and checked: 0.48 s and 1.1 s
-#: past the DP's price at m = 3, depth 50000 and 70694.
+#: 1025, 1057, 1161, 1985), and a phase of lower order less.  The check of
+#: verify_recurrence, timed apart from its DP pass at depths 4000-50000, ran
+#: 21-24 of its priced bits a ns at m = 3, where it costs about as much as
+#: the pass, 31-56 at m = 17, 115-122 at m = 127 and 255, and 165-187 at
+#: m = 683, whose coefficients are far below their r (h + 1)-bit bound.
 SPECTRAL_STEP_NS = 1400
 BM_SCALE = 40_000
-SUM_BITS_PER_NS = 4
+SUM_BITS_PER_NS = 20
 
 
 class SingularSystemError(ArithmeticError):
@@ -50,10 +53,6 @@ class SingularSystemError(ArithmeticError):
     m = 15): every phase then satisfies a recurrence of order below r.  It
     is reported with the largest minimal order found, never papered over.
     """
-
-
-class NonIntegerCoefficientError(ArithmeticError):
-    """An exactly-solved coefficient came out non-integral."""
 
 
 class RecurrenceDefectError(ArithmeticError):
@@ -131,10 +130,12 @@ def coefficients_from_sums(m: int, a: int) -> RecurrenceSpec:
     identity the root polynomial P of order r annihilates every phase, so
     2r terms fix each phase's minimal polynomial by Berlekamp-Massey.  The
     first phase whose minimal order is r has P itself, and c_i is its i-th
-    coefficient over its constant term.  The phases read one pass of the
-    digit DP (the levels of dyadic_sums), run only as far as the phase
-    tried needs: levels 0 .. (2r - 1) h + 1 for phase 0, one more for each
-    later phase.
+    coefficient over its constant term, which is +-1: the polynomial is
+    primitive, and the minimal recurrence of an integer sequence, with
+    constant term 1, is integral (Fatou, Acta Math. 30, 1906).  The phases
+    read one pass of the digit DP (the levels of dyadic_sums), run only as
+    far as the phase tried needs: levels 0 .. (2r - 1) h + 1 for phase 0,
+    one more for each later phase.
     """
     dec = cyclotomic_cosets(m)
     _check_query(m, a, 0)
@@ -145,10 +146,6 @@ def coefficients_from_sums(m: int, a: int) -> RecurrenceSpec:
         seq += islice(stream, s + (2 * r - 1) * h + 2 - len(seq))
         order, poly = _minimal_polynomial(seq[s + 1 :: h])
         if order == r:
-            if any(c % poly[0] for c in poly):
-                raise NonIntegerCoefficientError(
-                    f"m={m}, a={a}, phase {s}: non-integer recurrence {poly[1:]} / {poly[0]}"
-                )
             return RecurrenceSpec(m=m, r=r, h=h,
                                   coefficients=tuple(c // poly[0] for c in poly[1:]))
         found = max(found, order)
@@ -180,17 +177,22 @@ def recurrence_cost_ns(dec: CosetDecomposition, a: int, depth: int = 8,
     terms of at most L bits: about r^2 updates of integers of up to r L
     bits, r^4 L^2 / BM_SCALE ns.  A singular system tries up to h phases,
     each of lower order and so cheaper, but not priced here.
-    verify_recurrence is one DP pass to its largest x, and it
-    keeps each S(m, a, 2^n), n <= depth + r h + 1, of up to n bits: about
-    n^2 / SUM_BITS_PER_NS ns in all for n levels."""
+    verify_recurrence runs two DP passes: the offsets' to level
+    depth + r h + 1 and the multipliers' to the largest u 2^(r h + 1).  Per
+    offset n its check multiplies r + 1 sums of up to n + r h + 1 bits by
+    coefficients of up to r (h + 1) bits, D int digits, and adds them:
+    (D + 1) (n + r h + 1) priced bits a term, SUM_BITS_PER_NS a ns."""
     m, r, h = dec.m, dec.r, dec.h
     _check_verification(m, a, depth, multipliers)
     passes, search_ns = crt_cost(m, r * (h + 1) + 1)
     levels = (2 * r - 1) * h + 2
-    top = max(depth + 1, max(multipliers, default=0).bit_length()) + r * h + 1
+    digits = -(-r * (h + 1) // _DIGIT_BITS)
+    products = (r + 1) * (digits + 1) * (depth + 1) * (depth + 2 * r * h + 2) // 2
     return (SPECTRAL_STEP_NS * passes * (2 * m + r * r // 2) + search_ns
             + _dp_pass_ns(m, levels) + r**4 * levels**2 // BM_SCALE
-            + _dp_pass_ns(m, top) + top * top // SUM_BITS_PER_NS)
+            + _dp_pass_ns(m, depth + r * h + 2)
+            + _dp_pass_ns(m, r * h + 1 + max(multipliers, default=0).bit_length())
+            + products // SUM_BITS_PER_NS)
 
 
 def verify_recurrence(
@@ -201,32 +203,29 @@ def verify_recurrence(
 ) -> VerificationReport:
     """Exact-integer check of both recurrence identities.
 
-    Offsets n = 0..depth and every multiplier u are checked; any nonzero
-    defect raises RecurrenceDefectError naming the offending instance.  All
-    the sums come from one pass of the signed digit DP.
+    Offsets n = 0..depth and every multiplier u are checked, in that order;
+    any nonzero defect raises RecurrenceDefectError naming the offending
+    instance.  The offsets read one pass of _dyadic_stream, each checked as
+    its top term S(2^(n + r h + 1)) arrives, so only the last r h + 2 sums
+    are kept.  The multipliers read one short pass over the u 2^k.
     """
     m, r, h = spec.m, spec.r, spec.h
     _check_verification(m, a, depth, multipliers)
-    # S at 2^(n+k) and at 2^k * u for k = (r-q)h + 1, q = 0..r: one DP pass
-    ks = [(r - q) * h + 1 for q in range(r + 1)]
-    top = depth + r * h + 1
-    values = _sums_in_one_pass(m, a, chain((1 << n for n in range(top + 1)),
-                                           (u << k for u in multipliers for k in ks)))
-    seq, scaled = values[: top + 1], values[top + 1 :]
     weights = (1, *spec.coefficients)
-    identities = [(f"offset identity fails at n={n}", [seq[n + k] for k in ks])
-                  for n in range(depth + 1)]
-    identities += [(f"multiplier identity fails at u={u}", scaled[j * (r + 1) : (j + 1) * (r + 1)])
-                   for j, u in enumerate(multipliers)]
-    for identity, terms in identities:
+    ks = [(r - q) * h + 1 for q in range(r + 1)]  # S at 2^(n+k) and at 2^k * u
+
+    def check(terms, identity):
         value = sum(c * s for c, s in zip(weights, terms))
         if value:
             raise RecurrenceDefectError(f"m={m}, a={a}: {identity} with defect {value}")
-    return VerificationReport(
-        m=m,
-        a=a,
-        depth=depth,
-        multipliers=tuple(multipliers),
-        checks=len(identities),
-        max_defect=0,
-    )
+
+    stream = _dyadic_stream(m, a)
+    window = deque(islice(stream, r * h + 1), maxlen=r * h + 2)
+    for n, top in enumerate(islice(stream, depth + 1)):
+        window.append(top)  # window[k] = S(m, a, 2^(n + k))
+        check([window[k] for k in ks], f"offset identity fails at n={n}")
+    scaled = _sums_in_one_pass(m, a, [u << k for u in multipliers for k in ks])
+    for j, u in enumerate(multipliers):
+        check(scaled[j * (r + 1) : (j + 1) * (r + 1)], f"multiplier identity fails at u={u}")
+    return VerificationReport(m=m, a=a, depth=depth, multipliers=tuple(multipliers),
+                              checks=depth + 1 + len(multipliers), max_defect=0)

@@ -25,9 +25,9 @@ residue.  _half_levels keeps (m' + 1) / 2 of them, the rest following by a
 complement symmetry, in about 0.6 m' operations per level.  The sums read
 one or the other through _level_reads: the full vector below _HALF_PASS_MIN,
 where its lower per-level overhead wins, and the half state from there on.
-Those readers are _sums_in_one_pass (newman_sum_dp, parity_counts,
-verify_recurrence) and _dyadic_stream (dyadic_sums, coefficients_from_sums,
-the remainder check).
+Those readers are _dyadic_stream (dyadic_sums, coefficients_from_sums, the
+offsets of verify_recurrence, the remainder check) and _sums_in_one_pass
+(newman_sum_dp, parity_counts, the multipliers of verify_recurrence).
 """
 
 from __future__ import annotations
@@ -191,8 +191,6 @@ def _set_bits(m: int, x: int) -> list[tuple[int, int, int]]:
     t < 2^i, so S(m, a, x) = sum of (-1)^s(P) D_i[(a - P) mod m] (the DP),
     and the character sum reads the phase (P - a) mod m of the same blocks.
     """
-    if not x & (x - 1):     # 0 or a power of two: no string to scan
-        return [(x.bit_length() - 1, 0, 1)] if x else []
     out = []
     p = x % m
     sign = -1 if x.bit_count() & 1 else 1
@@ -209,8 +207,7 @@ def _set_bits(m: int, x: int) -> list[tuple[int, int, int]]:
 def _sums_in_one_pass(m: int, a: int, xs: Iterable[int]) -> list[int]:
     """[S(m, a, x) for x in xs] from a single pass of the signed DP over the
     m' classes and the levels of (x + pad) >> k of _odd_query (dp_cost_ns
-    prices it at the largest x).  Only the set bits of each folded x are
-    kept, so xs may be a generator of many long x."""
+    prices it at the largest x)."""
     sign, m, a, k, pad = _odd_query(m, a)
     splits = [_set_bits(m, (x + pad) >> k) for x in xs]
     wanted = [[] for _ in range(max((bits[-1][0] + 1 for bits in splits if bits), default=0))]

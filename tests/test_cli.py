@@ -256,13 +256,15 @@ def test_dp_price_reads_the_width_of_the_integers(capsys, monkeypatch):
 
 
 def test_recurrence_guard_refuses_before_any_pass(capsys, monkeypatch):
-    # README's, CI's and the benchmark's recurrence calls are accepted
+    # README's, CI's and the benchmark's recurrence calls are accepted, and
+    # so is m = 3 at depth 54702, which CI runs in 100 MB of address space
     from gelfond import recurrence
 
     for m, a, depth, multipliers in ((17, 0, 12, (1, 3, 5, 7)), (243, 0, 2, (1, 3)),
                                      (683, 0, 2, (1,)), (17, 0, 8, (1, 3, 5)),
                                      (15, 0, 8, (1, 3, 5)), (23, 22, 6, (1, 3)),
-                                     (41, 40, 6, (1, 3)), (47, 46, 6, (1, 3))):
+                                     (41, 40, 6, (1, 3)), (47, 46, 6, (1, 3)),
+                                     (3, 0, 54702, (1, 3, 5))):
         dec = cosets.cyclotomic_cosets(m)
         assert recurrence.recurrence_cost_ns(dec, a, depth, multipliers) <= cli.MAX_PREDICTED_NS, m
 
@@ -273,8 +275,11 @@ def test_recurrence_guard_refuses_before_any_pass(capsys, monkeypatch):
         monkeypatch.setattr(recurrence, name, no_pass)
     # --depth 100000: the verify pass over 100017 levels; m = 8191: 19
     # split-prime passes (5.7 s) and Berlekamp-Massey at r = 630; m = 1023:
-    # Berlekamp-Massey on its 10 singular phases ran 2.9 s
-    for argv in (("17", "--depth", "100000"), ("8191",), ("1023",)):
+    # Berlekamp-Massey on its 10 singular phases ran 2.9 s; m = 255 at depth
+    # 18983: 35 products an offset with 306-bit coefficients, 1.6-2.5 s
+    assert recurrence.recurrence_cost_ns(cosets.cyclotomic_cosets(255), 0,
+                                         18983) > cli.MAX_PREDICTED_NS
+    for argv in (("17", "--depth", "100000"), ("8191",), ("1023",), ("255", "--depth", "18983")):
         code, out, err = run_cli(capsys, "recurrence", *argv)
         assert code == 2, argv
         assert out == ""

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from gelfond import (
     coefficients_from_sums,
     coefficients_spectral,
     cyclotomic_cosets,
+    dyadic_sums,
     newman_sum_dp,
     newman_sum_enumerate,
     newman_sum_explicit,
@@ -141,6 +143,85 @@ def test_verification_small_sweep():
             report = verify_recurrence(spec, a, depth=8, multipliers=(1, 3, 5))
             assert report.max_defect == 0
             assert report.checks == 12
+
+
+def _identities(spec, a, depth, multipliers):
+    """(offsets, multiplier identities) of verify_recurrence, each a list of
+    (name, value) in the order checked, summed directly from dyadic_sums
+    and newman_sum_dp."""
+    m, r, h = spec.m, spec.r, spec.h
+    weights = (1, *spec.coefficients)
+    ks = [(r - q) * h + 1 for q in range(r + 1)]
+    seq = dyadic_sums(m, a, depth + r * h + 1)
+    offsets = [(f"offset identity fails at n={n}",
+                sum(c * seq[n + k] for c, k in zip(weights, ks))) for n in range(depth + 1)]
+    scaled = [(f"multiplier identity fails at u={u}",
+               sum(c * newman_sum_dp(m, a, u << k) for c, k in zip(weights, ks)))
+              for u in multipliers]
+    return offsets, scaled
+
+
+def test_windowed_check_equals_the_identities_summed_directly():
+    # the offsets are checked from a window of the last rh + 2 sums of one
+    # pass, which slides once at depth 1, rh times at rh and 3rh + 2 times
+    # at 3rh + 2
+    multipliers = (1, 3, 5, 7)
+    for m in range(3, 64, 2):
+        spec = coefficients_spectral(cyclotomic_cosets(m))
+        rh = spec.r * spec.h
+        for a in range(m):
+            offsets, scaled = _identities(spec, a, 3 * rh + 2, multipliers)
+            assert not any(value for _, value in offsets + scaled), (m, a)
+            for depth in (1, rh, 3 * rh + 2):
+                report = verify_recurrence(spec, a, depth, multipliers)
+                assert report == (m, a, depth, multipliers, depth + 5, 0), (m, a, depth)
+
+
+def test_a_coefficient_off_by_one_raises_the_first_defect():
+    # offsets are checked before multipliers, each in order, and the first
+    # nonzero identity is the one named; a coefficient whose terms all
+    # vanish for this residue is not caught, and must not be
+    caught = []
+    for m in (3, 9, 17, 21, 31, 43, 63):
+        spec = coefficients_spectral(cyclotomic_cosets(m))
+        for q in range(spec.r):
+            c = list(spec.coefficients)
+            c[q] += 1
+            wrong = spec._replace(coefficients=tuple(c))
+            for a in (0, m // 2, m - 1):
+                for depth, multipliers in ((spec.r * spec.h, (1, 3, 5, 7)), (1, (7, 5))):
+                    offsets, scaled = _identities(wrong, a, depth, multipliers)
+                    failing = [(name, value) for name, value in offsets + scaled if value]
+                    if not failing:
+                        assert verify_recurrence(wrong, a, depth, multipliers).max_defect == 0
+                        continue
+                    name, value = failing[0]
+                    caught.append(name.split()[0])
+                    with pytest.raises(RecurrenceDefectError) as info:
+                        verify_recurrence(wrong, a, depth, multipliers)
+                    assert str(info.value) == f"m={m}, a={a}: {name} with defect {value}"
+    assert len(caught) > 170 and "multiplier" in caught  # of 186, 4 of them multipliers
+    wrong = RecurrenceSpec(m=17, r=2, h=8, coefficients=(-34, 18))
+    with pytest.raises(RecurrenceDefectError,
+                       match="^m=17, a=0: offset identity fails at n=0 with defect 1$"):
+        verify_recurrence(wrong, 0)
+
+
+def test_verify_memory_does_not_grow_with_the_kept_sums():
+    # the window holds rh + 2 = 4 sums of at most depth + 3 bits at m = 3;
+    # keeping all depth + 4 sums of the pass grew the peak 6.3-7.5-fold from
+    # depth 2000 to 8000, the window 1.6-1.7-fold
+    spec = coefficients_spectral(cyclotomic_cosets(3))
+    for a in range(3):
+        peaks = []
+        for depth in (2000, 8000):
+            tracemalloc.start()
+            try:
+                verify_recurrence(spec, a, depth)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 6 * peaks[0], (a, peaks)
 
 
 def test_trailing_coefficient_is_modulus():
