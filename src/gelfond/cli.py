@@ -24,18 +24,19 @@ BIG_INT = 1 << 53
 
 #: Largest predicted time that a route accepts: the digit DP of `sum
 #: --method dp|all` and `counts` (sums.dp_cost_ns), the explicit sum of `sum
-#: --method explicit|all` (spectral.explicit_cost_ns), the profile of
-#: `empirical` (empirical.profile_cost_ns) and the three passes of
+#: --method explicit|all` (spectral.explicit_cost_ns), the enumeration of
+#: `sum --method enumerate` (sums.ENUMERATION_STEP_NS a member; `all` skips
+#: it), the profile and the exponent of `empirical` (profile_cost_ns and
+#: EXPONENT_STEP_NS a residue of m' in empirical) and the three passes of
 #: `recurrence` (recurrence.recurrence_cost_ns).  Every max_exp <= 32
 #: predicts at most 0.08 s for any m.  At this bound, on a 2-CPU Xeon with
 #: Python 3.11: a profile took at most 1.1 s and 25 MiB (m = 6510 at max_exp
-#: = 256, m = 41666 at max_exp = 40), its remainder scan under 0.02 s for
-#: every m; an explicit sum at m = 17 with a 7810-bit x of all ones
-#: 0.89-0.96 s; a digit DP 0.85 s and 354 MiB at m' = 22222131 with a
-#: 2-bit x, where O(m') integers are live (the whole `counts` process).
-#: Past it, m = 1173 with the 4300-digit x = 10^4300 - 1 has only 1173 *
-#: 14285 cells, but its integers widen to about 11000 bits: refused at
-#: 1.94 s predicted, it ran 2.2-2.6 s and 19 MiB.
+#: = 256, m = 41666 at max_exp = 40); an explicit sum at m = 17 with a
+#: 7810-bit x of all ones 0.89-0.96 s; a digit DP 0.85 s and 354 MiB at
+#: m' = 22222131 with a 2-bit x, where O(m') integers are live (the whole
+#: `counts` process).  Past it, m = 1173 with the 4300-digit x = 10^4300 - 1
+#: has only 1173 * 14285 cells, but its integers widen to about 11000 bits:
+#: refused at 1.94 s predicted, it ran 2.2-2.6 s and 19 MiB.
 MAX_PREDICTED_NS = 10**9
 #: Largest `scan --max` accepted.  The scan's least-factor sieve takes
 #: O(limit) time and memory; at this bound a scan took 0.85-1.1 s and about
@@ -169,7 +170,11 @@ def _cmd_sum(args):
         _check_time("digit-DP", _dp_time(m, a, x))
     if method in ("explicit", "all"):
         _check_time("explicit-sum", spectral.explicit_cost_ns(m, a, x))
-    skipped = ["enumerate"] if method == "all" and x > sums.ENUMERATION_CAP else []
+    enumerate_ns = sums.ENUMERATION_STEP_NS * sums._class_count(m, a, x)
+    if method == "enumerate" and x <= sums.ENUMERATION_CAP:  # past it the route refuses
+        _check_time("enumeration", enumerate_ns)
+    skipped = ["enumerate"] if method == "all" and (
+        x > sums.ENUMERATION_CAP or enumerate_ns > MAX_PREDICTED_NS) else []
     methods = {name: route(m, a, x) for name, route in _SUM_ROUTES.items()
                if method in (name, "all") and name not in skipped}
     values = set(methods.values())
@@ -275,10 +280,12 @@ def _table_csv(result):
 def _cmd_empirical(args):
     sums._check_query(args.m, args.a, 0)
     _check_time("profile", emp.profile_cost_ns(args.m, args.max_exp))
+    _check_time("exponent", emp.EXPONENT_STEP_NS * cosets._odd_part(args.m))
     profile = emp.dyadic_profile(args.m, args.a, args.max_exp)
     exponent = expo._alpha_value(args.m)
-    remainder = emp.gelfond_remainder_check(
-        args.m, args.a, min(args.max_exp, emp.REMAINDER_MAX_EXP)
+    # gelfond_remainder_check's ratios, from the profile's own S(2^nu)
+    remainder = emp._remainder_ratios(
+        args.m, args.a, profile.boundary_sums[:emp.REMAINDER_MAX_EXP + 1]
     )
     result = {
         "m": args.m,
@@ -294,7 +301,7 @@ def _cmd_empirical(args):
         window = emp.default_window(args.max_exp, emp._first_nonzero_block(profile))
     if args.window or window[1] - window[0] >= 3:  # a fit needs 4 blocks
         result["fit"] = emp.fit_exponent(profile, window)._asdict()
-    if sums._odd_part(args.m) > 1:  # else the sums are bounded
+    if cosets._odd_part(args.m) > 1:  # else the sums are bounded
         try:
             env = emp.envelope_check(profile, exponent)
         except ValueError as exc:

@@ -46,6 +46,11 @@ def _check_odd_modulus(m: int) -> None:
         raise ValueError(f"modulus must be odd and >= 3, got m={m}")
 
 
+def _odd_part(m: int) -> int:
+    """m with every factor 2 removed, for m >= 1."""
+    return m >> ((m & -m).bit_length() - 1)
+
+
 def _orbit(t: int, m: int) -> tuple[int, ...]:
     """t, 2t, 4t, ... (mod m) until the walk comes back to t: the doubling
     orbit of t in {1, ..., m-1}, m odd >= 3.  len(_orbit(1, m)) = ord_m(2)."""

@@ -20,9 +20,9 @@ import math
 from collections.abc import Iterable
 from typing import NamedTuple
 
-from .cosets import _orbit
+from .cosets import _odd_part, _orbit
 from .exponent import LAMBDA
-from .sums import _check_query, _class_count, _levels, _odd_part, dp_cost_ns, dyadic_sums
+from .sums import _check_query, _class_count, _levels, dp_cost_ns, dyadic_sums
 
 #: Profiles are capped here; every float of the fit and envelope stays finite.
 PROFILE_MAX_EXP = 256
@@ -39,6 +39,10 @@ REMAINDER_MAX_EXP = 28
 #: remainder scan prices its digit DP with sums.dp_cost_ns.
 MAXPLUS_CELL_NS = 600
 WALK_STEP_NS = 150
+#: Measured cost in ns of a residue of m' in `gelfond empirical`'s exponent
+#: (exponent._alpha_value, and envelope_check's orbit of 1): 570-620 ns at
+#: m' = 10^6 + 3 and 2 * 10^6 + 3 on the same machine.
+EXPONENT_STEP_NS = 700
 
 
 class BlockSup(NamedTuple):
@@ -260,12 +264,9 @@ def fit_exponent(profile: DyadicProfile, window: tuple[int, int] | None = None) 
 def gelfond_remainder_check(m: int, a: int, max_exp: int) -> RemainderCheck:
     """Remainder ratios |t_even - x/(2m)| / x^lambda at x = 2^nu.
 
-    The numerator is computed exactly as |2m*t_even - x| / (2m), with
-    t_even = (count + S(m, a, 2^nu)) / 2, the S read from one dyadic_sums
-    pass (which runs on the odd part of m) or, when it is cheaper by
-    sums.dp_cost_ns (large odd part), from the class walk.  A ratio
-    that keeps growing across the top blocks would contradict the remainder
-    bound; that situation is flagged, not silently accepted.
+    The S(m, a, 2^nu) are read from one dyadic_sums pass (which runs on the
+    odd part of m) or, when it is cheaper by sums.dp_cost_ns (large odd
+    part), from the class walk; _remainder_ratios turns them into ratios.
     """
     _check_query(m, a, 1)
     _check_max_exp(max_exp, REMAINDER_MAX_EXP)
@@ -273,8 +274,19 @@ def gelfond_remainder_check(m: int, a: int, max_exp: int) -> RemainderCheck:
         levels = dyadic_sums(m, a, max_exp)
     else:
         levels = _walk_profile(m, a, max_exp)[1]
+    return _remainder_ratios(m, a, levels)
+
+
+def _remainder_ratios(m: int, a: int, levels) -> RemainderCheck:
+    """The RemainderCheck of levels[nu] = S(m, a, 2^nu), nu = 0 .. max_exp.
+
+    The numerator is computed exactly as |2m*t_even - x| / (2m), with
+    t_even = (count + S(m, a, x)) / 2.  A ratio that keeps growing across
+    the top blocks would contradict the remainder bound; that situation is
+    flagged, not silently accepted.
+    """
     ratios = []
-    for nu in range(1, max_exp + 1):
+    for nu in range(1, len(levels)):
         x = 1 << nu
         t_even = (_class_count(m, a, x) + levels[nu]) // 2
         ratios.append(abs(2 * m * t_even - x) / (2 * m * x**LAMBDA))
@@ -284,7 +296,7 @@ def gelfond_remainder_check(m: int, a: int, max_exp: int) -> RemainderCheck:
     return RemainderCheck(
         m=m,
         a=a,
-        max_exp=max_exp,
+        max_exp=len(ratios),
         ratios=tuple(ratios),
         max_ratio=ratios[best],
         argmax_nu=best + 1,

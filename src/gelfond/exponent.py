@@ -27,8 +27,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .cosets import _check_odd_modulus, _closed_prime, _orbit, _orbits
-from .sums import _odd_part
+from .cosets import _check_odd_modulus, _closed_prime, _odd_part, _orbit, _orbits
 
 #: Gelfond's universal remainder exponent ln 3 / ln 4.
 LAMBDA = math.log(3) / math.log(4)

@@ -19,15 +19,14 @@ dyadic_sums returns every S(m, a, 2^n), n <= N, from one pass, and
 parity_counts is (count +- S) / 2 with the exact class count of the original
 m.
 
-Two passes produce the levels.  _levels keeps all m' sums of a level; the
-max-plus profiles of the empirical module read it, since they need every
-residue.  _half_levels keeps (m' + 1) / 2 of them, the rest following by a
-complement symmetry, in about 0.6 m' operations per level.  The sums read
-one or the other through _level_reads: the full vector below _HALF_PASS_MIN,
-where its lower per-level overhead wins, and the half state from there on.
-Those readers are _dyadic_stream (dyadic_sums, coefficients_from_sums, the
-offsets of verify_recurrence, the remainder check) and _sums_in_one_pass
-(newman_sum_dp, parity_counts, the multipliers of verify_recurrence).
+Two passes produce the levels.  _half_levels keeps (m' + 1) / 2 sums of a
+level, the rest following by a complement symmetry, in about 0.6 m'
+operations per level; every sum reads it, through _dyadic_stream
+(dyadic_sums, coefficients_from_sums, the offsets of verify_recurrence, the
+remainder check) and _sums_in_one_pass (newman_sum_dp, parity_counts, the
+multipliers of verify_recurrence).  _levels keeps all m sums of a level;
+the max-plus profiles of the empirical module read it, since they need
+every residue.
 """
 
 from __future__ import annotations
@@ -40,21 +39,20 @@ from typing import NamedTuple
 
 #: Default upper bound on x for the O(x/m) enumeration path.
 ENUMERATION_CAP = 1 << 26
-#: Odd moduli from here on are summed from the half-state pass (see
-#: _half_levels); below it the full vector's lower per-level overhead wins.
-#: On a 2-CPU Xeon with Python 3.11 the two broke even near m' = 51-61, and
-#: the half pass took 0.85-0.93 of the full pass's time at m' = 65-121 and
-#: 0.58-0.65 at m' = 1001-4001.
-_HALF_PASS_MIN = 65
+#: Measured cost in ns of one class member visited by newman_sum_enumerate:
+#: 58-70 ns on a 2-CPU Xeon with Python 3.11.7 (m = 1, 3, 5, 17 with x up to
+#: 2^26), up to 100 ns when the host ran slow.
+ENUMERATION_STEP_NS = 70
 #: The digit DP's price in ns (dp_cost_ns): DP_LEVEL_NS a level, and per
 #: class kept at a level DP_CLASS_NS while the integers fit one digit of int
 #: (the first _DIGIT_BITS levels), DP_WIDE_CLASS_NS after, plus 1 ns per
 #: DP_WIDTH_BITS bits of the widest integer.  Fit on a 2-CPU Xeon with
 #: Python 3.11.7 so that passes near 1 s are not over-predicted: runs took
 #: 0.91-1.27 times the price at rate alpha(m') for m' >= 1000 at 0.6-1.6 s,
-#: and up to 1.7 times at m' = 45-67.  A class costs 37-48 ns on the first
-#: levels, 60-75 ns after where alpha(m') is near 0 (m' = 1019, 10007), and
-#: up to 300 ns at 14285 levels where it is 0.79 (m' = 1173).
+#: and 1.1-1.27 times at m' = 3-127 with a 4300-digit x.  A class costs
+#: 37-48 ns on the first levels, 60-75 ns after where alpha(m') is near 0
+#: (m' = 1019, 10007), and up to 300 ns at 14285 levels where it is 0.79
+#: (m' = 1173).
 DP_LEVEL_NS = 2000
 DP_CLASS_NS = 45
 DP_WIDE_CLASS_NS = 62
@@ -107,8 +105,7 @@ def _levels(m: int, unit: int = 1) -> Iterator[list[int]]:
     is linear, so started from `unit` in place of 1 it yields unit * D_i.
 
     This full-vector pass is the one the max-plus profiles read, since they
-    need every residue of every level, and the one the sums read below
-    _HALF_PASS_MIN; larger odd moduli are read from _half_levels.
+    need every residue of every level; the sums read _half_levels.
     """
     d = [unit] + [0] * (m - 1)
     pw = 1 % m  # 2^i mod m
@@ -142,7 +139,9 @@ def _half_levels(m: int) -> Iterator[Callable[[int], int]]:
     while True:
         def read(c, e=e, kappa=kappa, sign=sign, tail=-sign if odd else sign):
             u = (c - kappa) % m
-            return sign * e[u] if u <= h else tail * e[m - u]
+            if u > h:
+                u, sign = m - u, tail
+            return e[u] if sign > 0 else -e[u]
         yield read
         g = gi
         if g > h:
@@ -159,19 +158,6 @@ def _half_levels(m: int) -> Iterator[Callable[[int], int]]:
         kappa = (kappa + gi) % m
         gi = 2 * gi % m
         odd = not odd
-
-
-def _level_reads(m: int) -> Iterator[Callable[[int], int]]:
-    """c -> D_i[c] for i = 0, 1, ... over odd m, from _half_levels from
-    _HALF_PASS_MIN on and from _levels below it."""
-    if m < _HALF_PASS_MIN:
-        return (d.__getitem__ for d in _levels(m))
-    return _half_levels(m)
-
-
-def _odd_part(m: int) -> int:
-    """m with every factor 2 removed, for m >= 1."""
-    return m >> ((m & -m).bit_length() - 1)
 
 
 def _odd_query(m: int, a: int) -> tuple[int, int, int, int, int]:
@@ -205,9 +191,9 @@ def _set_bits(m: int, x: int) -> list[tuple[int, int, int]]:
 
 
 def _sums_in_one_pass(m: int, a: int, xs: Iterable[int]) -> list[int]:
-    """[S(m, a, x) for x in xs] from a single pass of the signed DP over the
-    m' classes and the levels of (x + pad) >> k of _odd_query (dp_cost_ns
-    prices it at the largest x)."""
+    """[S(m, a, x) for x in xs] from a single pass of _half_levels over the
+    levels of (x + pad) >> k of _odd_query (dp_cost_ns prices it at the
+    largest x)."""
     sign, m, a, k, pad = _odd_query(m, a)
     splits = [_set_bits(m, (x + pad) >> k) for x in xs]
     wanted = [[] for _ in range(max((bits[-1][0] + 1 for bits in splits if bits), default=0))]
@@ -215,7 +201,7 @@ def _sums_in_one_pass(m: int, a: int, xs: Iterable[int]) -> list[int]:
         for i, p, s in bits:
             wanted[i].append((j, (a - p) % m, sign * s))
     out = [0] * len(splits)
-    for terms, d in zip(wanted, _level_reads(m)):
+    for terms, d in zip(wanted, _half_levels(m)):
         for j, c, s in terms:
             out[j] += s * d(c)
     return out
@@ -224,23 +210,22 @@ def _sums_in_one_pass(m: int, a: int, xs: Iterable[int]) -> list[int]:
 def dp_cost_ns(m: int, a: int, x: int, rate: float = 1.0) -> int:
     """Predicted time in ns of the digit DP for S(m, a, x), the pass of
     _sums_in_one_pass: L levels, the bit length of (x + pad) >> k of
-    _odd_query, each keeping the m' classes of _levels below _HALF_PASS_MIN
-    and the (m' + 1) / 2 of _half_levels from there on.  Its integers gain
-    at most `rate` bits a level: 1 for every m, since |D_i| <= 2^i, and
-    alpha(m') in the limit (exponent._alpha_value), which is much less for
-    some m' (0.0098 at m' = 1019, 0.79 at 1173)."""
+    _odd_query, each keeping the (m' + 1) / 2 classes of _half_levels.  Its
+    integers gain at most `rate` bits a level: 1 for every m, since
+    |D_i| <= 2^i, and alpha(m') in the limit (exponent._alpha_value), which
+    is much less for some m' (0.0098 at m' = 1019, 0.79 at 1173)."""
     _check_query(m, a, x)
     _, m, _, k, pad = _odd_query(m, a)
     return _dp_pass_ns(m, ((x + pad) >> k).bit_length(), rate)
 
 
 def _dp_pass_ns(m: int, levels: int, rate: float = 1.0) -> int:
-    """dp_cost_ns of a pass over `levels` levels for an odd m."""
-    kept = m if m < _HALF_PASS_MIN else (m + 1) // 2
+    """dp_cost_ns of a pass of _half_levels over `levels` levels, odd m."""
     narrow = min(levels, _DIGIT_BITS)
     cell_ns = DP_CLASS_NS * narrow + DP_WIDE_CLASS_NS * (levels - narrow)
     num, den = float(rate).as_integer_ratio()
-    return levels * DP_LEVEL_NS + kept * (cell_ns + levels * levels * num // (den * DP_WIDTH_BITS))
+    width_ns = levels * levels * num // (den * DP_WIDTH_BITS)
+    return levels * DP_LEVEL_NS + (m + 1) // 2 * (cell_ns + width_ns)
 
 
 def newman_sum_dp(m: int, a: int, x: int) -> int:
@@ -256,8 +241,8 @@ def _dyadic_stream(m: int, a: int) -> Iterator[int]:
     sign, m, a, k, pad = _odd_query(m, a)
     for n in range(k):
         yield sign if a == 0 and ((1 << n) + pad) >> k else 0
-    for d in _level_reads(m):
-        yield sign * d(a)
+    for d in _half_levels(m):
+        yield d(a) if sign > 0 else -d(a)
 
 
 def dyadic_sums(m: int, a: int, n_max: int) -> list[int]:

@@ -162,6 +162,26 @@ def test_sum_all_skips_enumerate_past_cap(capsys):
     assert env["result"]["value"] == newman_sum_dp(3, 0, 1 << 27)
 
 
+def test_enumeration_price_refuses_before_any_enumeration(capsys, monkeypatch):
+    # 2^26 = ENUMERATION_CAP is not past the cap, but its 2^26 members at
+    # m = 1 predict 4.7 s and its 22369622 at m = 3 1.6 s; 13421773 at m = 5
+    # predict 0.94 s and are accepted
+    x = sums.ENUMERATION_CAP
+    assert sums.ENUMERATION_STEP_NS * sums._class_count(5, 0, x) <= cli.MAX_PREDICTED_NS
+
+    def no_enumeration(*args):
+        raise AssertionError("the enumeration must not start")
+
+    monkeypatch.setattr(sums, "newman_sum_enumerate", no_enumeration)
+    code, out, err = run_cli(capsys, "sum", "1", "0", str(x), "--method", "enumerate")
+    assert (code, out) == (2, "")
+    assert "predicted enumeration time" in err
+    # `all` skips the route, as it does past the cap
+    env = run_json(capsys, "sum", "3", "0", str(x), "--method", "all")
+    assert env["result"]["skipped"] == ["enumerate"]
+    assert env["result"]["value"] == newman_sum_dp(3, 0, x)
+
+
 def test_dp_work_guard_refuses_before_any_dp(capsys, monkeypatch):
     x = 3**5000
     assert sums.dp_cost_ns(10007, 5, x, 0) > cli.MAX_PREDICTED_NS
@@ -327,6 +347,49 @@ def test_profile_cost_guard(capsys, monkeypatch):
         assert code == 2, m
         assert out == ""
         assert "predicted profile time" in err
+
+
+def test_exponent_price_refuses_before_any_walk(capsys, monkeypatch):
+    # at m' = 2 * 10^6 + 3 the profile is a walk of 16 class members, but
+    # the exponent walks every residue: 1.4 s predicted at EXPONENT_STEP_NS
+    assert cli.emp.profile_cost_ns(2000003, 20) <= cli.MAX_PREDICTED_NS
+    assert cli.emp.EXPONENT_STEP_NS * 1428571 <= cli.MAX_PREDICTED_NS
+    assert cli.emp.EXPONENT_STEP_NS * 1428573 > cli.MAX_PREDICTED_NS
+
+    def no_walk(*args):
+        raise AssertionError("no walk may start")
+
+    monkeypatch.setattr(cli.emp, "dyadic_profile", no_walk)
+    monkeypatch.setattr(expo, "_alpha_value", no_walk)
+    monkeypatch.setattr(cli.emp, "envelope_check", no_walk)
+    for m in ("2000003", "4000006", "1428573"):
+        code, out, err = run_cli(capsys, "empirical", m, "1", "--max-exp", "20")
+        assert (code, out) == (2, ""), m
+        assert "predicted exponent time" in err
+
+
+def test_empirical_remainder_reads_the_profile_sums(capsys, monkeypatch):
+    # the CLI's remainder fields are gelfond_remainder_check's, read from the
+    # profile's S(2^nu) with no second pass: at a walked profile (m = 100003)
+    # and at depths past REMAINDER_MAX_EXP = 28, where the scan stops at 28
+    cases = [(100003, 7, 20), (23, 5, 40), (17, 3, 29), (24, 5, 30), (3, 0, 12)]
+    expected = [
+        cli._jsonify(cli._fields(cli.emp.gelfond_remainder_check(
+            m, a, min(max_exp, cli.emp.REMAINDER_MAX_EXP)), "m", "a", "max_exp", "ratios"), 8)
+        for m, a, max_exp in cases
+    ]
+
+    def no_pass(*args):
+        raise AssertionError("the remainder scan ran a second pass")
+
+    walks, walk = [], cli.emp._walk_profile
+    monkeypatch.setattr(cli.emp, "gelfond_remainder_check", no_pass)
+    monkeypatch.setattr(cli.emp, "dyadic_sums", no_pass)
+    monkeypatch.setattr(cli.emp, "_walk_profile", lambda *args: walks.append(args) or walk(*args))
+    for (m, a, max_exp), fields in zip(cases, expected):
+        result = run_json(capsys, "empirical", str(m), str(a), "--max-exp", str(max_exp))["result"]
+        assert result["remainder"] == fields, m
+    assert walks == [(100003, 7, 20)]  # the profile's own walk
 
 
 def test_explicit_cost_guard(capsys, monkeypatch):
@@ -524,7 +587,7 @@ def test_module_entry_point_runs_every_subcommand():
 
 #: The layers each subcommand of MODULE_RUNS runs; the others stay registered
 #: in sys.modules but unrun.
-ALPHA_LAYERS = {"exponent", "cosets", "modular", "sums"}
+ALPHA_LAYERS = {"exponent", "cosets", "modular"}
 COMMAND_LAYERS = {
     "cosets": {"cosets", "modular"},
     "classify": {"cosets", "modular"},
@@ -534,7 +597,7 @@ COMMAND_LAYERS = {
     "alpha": ALPHA_LAYERS,
     "table": ALPHA_LAYERS,
     "scan": {"cosets", "modular"},
-    "empirical": ALPHA_LAYERS | {"empirical"},
+    "empirical": ALPHA_LAYERS | {"empirical", "sums"},
 }
 
 

@@ -1,19 +1,24 @@
+import hashlib
 import random
 import tracemalloc
 
 import pytest
 
-from gelfond import sums
 from gelfond import (
     ENUMERATION_CAP,
     EnumerationCapError,
     LAMBDA,
     ParityCount,
+    SingularSystemError,
+    coefficients_from_sums,
+    coefficients_spectral,
+    cyclotomic_cosets,
     dyadic_sums,
     newman_sum_dp,
     newman_sum_enumerate,
     parity_counts,
     newman_sum_explicit,
+    verify_recurrence,
 )
 from gelfond.sums import _half_levels, _levels, _set_bits
 
@@ -161,10 +166,9 @@ def test_half_state_levels_equal_the_full_dp():
             assert [read(c) for c in range(m)] == d, (m, i)
 
 
-def test_small_moduli_through_the_half_pass(monkeypatch):
-    # with the crossover at 1 every odd part takes the half pass, m' = 1 too;
-    # unfolded_sums reads the full pass of the unfolded m, never the half one
-    monkeypatch.setattr(sums, "_HALF_PASS_MIN", 1)
+def test_small_moduli_through_the_half_pass():
+    # every odd part takes the half pass, m' = 1 too; unfolded_sums reads the
+    # full pass of the unfolded m, never the half one
     rng = random.Random(23)
     for m in range(1, 100):
         a = rng.randrange(m)
@@ -180,6 +184,41 @@ def test_small_moduli_through_the_half_pass(monkeypatch):
         top = rng.getrandbits(300) | 1 << 299
         assert [newman_sum_dp(m, a, top), dyadic_sums(m, a, 300)[-1]] == unfolded_sums(
             m, a, [top, 1 << 300]), m
+
+
+def kernel_outputs():
+    """Every a of every m <= 128: newman_sum_dp at x of 1 to 127 bits, and of
+    14285 bits at one probe a of eight m; parity_counts; dyadic_sums; and at
+    odd m, coefficients_from_sums (or its singular-system message) and
+    verify_recurrence, at every a below m = 64 and at the probe from there."""
+    rng = random.Random(32)
+    for m in range(1, 129):
+        spec = coefficients_spectral(cyclotomic_cosets(m)) if m % 2 and m > 1 else None
+        probe = rng.randrange(m)
+        for a in range(m):
+            if a == probe and m in (1, 3, 17, 45, 63, 64, 96, 127):
+                bits = 14285
+            else:
+                bits = rng.randrange(1, 1 << rng.randrange(1, 8))
+            yield newman_sum_dp(m, a, rng.getrandbits(bits) | 1 << (bits - 1))
+            yield parity_counts(m, a, rng.getrandbits(rng.randrange(1, 40)))
+            yield dyadic_sums(m, a, 24)
+            if spec and (m < 64 or a == probe):
+                try:
+                    yield coefficients_from_sums(m, a)
+                except SingularSystemError as exc:
+                    yield str(exc)
+                yield verify_recurrence(spec, a, depth=rng.randrange(1, 9), multipliers=(1, 3))
+
+
+def test_every_sum_reader_gives_the_outputs_of_the_two_kernel_engine():
+    # the digest of these outputs when the sums read the full-vector pass
+    # below m' = 65 and the half-state pass from there on
+    digest = hashlib.sha256()
+    for out in kernel_outputs():
+        digest.update(repr(out).encode())
+    assert digest.hexdigest() == (
+        "36282e84f0712e5b1b21f790e4ec64acc65691e057325445119b1a4701ef643d")
 
 
 def test_folded_dp_at_a_large_power_of_two_factor():
